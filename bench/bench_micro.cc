@@ -278,6 +278,39 @@ void BM_EncodeToVectorFastPath(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeToVectorFastPath)->Arg(0)->Arg(1);
 
+// The forward pass's two transcendental loops at the MPNetSim shapes: one
+// FFN row (d_ff 256) and one attention-score row (L = 50, the mean
+// tokens per column of the benchmark lake). Arg = tier.
+void BM_GeluTanh(benchmark::State& state) {
+  if (!PinTier(state, state.range(0))) return;
+  const int n = 256;
+  const auto x = BenchVector(n, 5);
+  std::vector<float> out(static_cast<size_t>(n));
+  for (auto _ : state) {
+    kern::GeluTanh(n, x.data(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  kern::ClearForcedTierForTest();
+}
+BENCHMARK(BM_GeluTanh)->Arg(0)->Arg(1);
+
+void BM_Softmax(benchmark::State& state) {
+  if (!PinTier(state, state.range(0))) return;
+  const int n = 50;
+  const auto x = BenchVector(n, 6);
+  std::vector<float> out(static_cast<size_t>(n));
+  for (auto _ : state) {
+    kern::Softmax(n, x.data(), nullptr, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  kern::ClearForcedTierForTest();
+}
+BENCHMARK(BM_Softmax)->Arg(0)->Arg(1);
+
 void BM_EncodeToVectorGraph(benchmark::State& state) {
   auto& env = SharedEnv();
   auto& encoder = SharedMpnetEncoder();

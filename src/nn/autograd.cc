@@ -157,8 +157,8 @@ VarPtr RowSoftmax(const VarPtr& a, const Matrix* mask) {
   Matrix out(a->rows(), a->cols());
   const int n = a->cols();
   for (int r = 0; r < a->rows(); ++r) {
-    SoftmaxRow(a->value().row(r), mask ? mask->row(r) : nullptr, out.row(r),
-               n);
+    kern::Softmax(n, a->value().row(r), mask ? mask->row(r) : nullptr,
+                  out.row(r));
   }
   return MakeOp(std::move(out), {a}, [a](Var& self) {
     if (!a->requires_grad()) return;
@@ -230,16 +230,14 @@ VarPtr LayerNormRows(const VarPtr& x, const VarPtr& gamma, const VarPtr& beta,
 
 VarPtr Gelu(const VarPtr& x) {
   Matrix out(x->rows(), x->cols());
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = GeluValue(x->value().data()[i]);
-  }
+  kern::GeluTanh(static_cast<int>(out.size()), x->value().data(), out.data());
   return MakeOp(std::move(out), {x}, [x](Var& self) {
     if (!x->requires_grad()) return;
     for (size_t i = 0; i < self.value().size(); ++i) {
       const float v = x->value().data()[i];
-      const float inner = kGeluC * (v + 0.044715f * v * v * v);
+      const float inner = kern::kGeluC * (v + 0.044715f * v * v * v);
       const float t = std::tanh(inner);
-      const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
+      const float dinner = kern::kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
       const float dv = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
       x->grad().data()[i] += self.grad().data()[i] * dv;
     }

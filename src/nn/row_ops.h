@@ -1,8 +1,10 @@
-// Shared per-row forward arithmetic for the transformer ops. Both the
-// autograd ops (nn/autograd.cc) and the allocation-free inference path
-// (TransformerEncoder workspace forward in nn/transformer.cc) call these
-// same inline functions, which is what makes the fast path bit-identical
-// to the graph path: one definition, one operation order.
+// Shared per-row forward helpers for the transformer ops that have no
+// kernel in util/kernels.h: LayerNorm and the relative-position bucket.
+// Both the autograd ops (nn/autograd.cc) and the allocation-free inference
+// path (TransformerEncoder's workspace forward in nn/transformer.cc) call
+// these same inline functions, so the two paths share one definition and
+// one operation order. GELU and softmax live in util/kernels.h
+// (kern::GeluTanh, kern::Softmax), which both paths also share.
 #ifndef DEEPJOIN_NN_ROW_OPS_H_
 #define DEEPJOIN_NN_ROW_OPS_H_
 
@@ -10,34 +12,6 @@
 
 namespace deepjoin {
 namespace nn {
-
-inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-
-/// Tanh-approximation GELU (BERT's variant).
-inline float GeluValue(float v) {
-  const float t = std::tanh(kGeluC * (v + 0.044715f * v * v * v));
-  return 0.5f * v * (1.0f + t);
-}
-
-/// Numerically-stable softmax over one row of n scores; `mask`, if
-/// non-null, is added to x first. In-place (x == out) is allowed: every
-/// element is read before it is written.
-inline void SoftmaxRow(const float* x, const float* mask, float* out,
-                       int n) {
-  float maxv = -1e30f;
-  for (int j = 0; j < n; ++j) {
-    const float v = x[j] + (mask ? mask[j] : 0.0f);
-    out[j] = v;
-    if (v > maxv) maxv = v;
-  }
-  double sum = 0.0;
-  for (int j = 0; j < n; ++j) {
-    out[j] = std::exp(out[j] - maxv);
-    sum += out[j];
-  }
-  const float inv = static_cast<float>(1.0 / sum);
-  for (int j = 0; j < n; ++j) out[j] *= inv;
-}
 
 /// LayerNorm over one row with learned gain/bias. Mean/variance accumulate
 /// in double (the documented exception to float accumulation: n <= d_ff

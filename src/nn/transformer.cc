@@ -18,6 +18,7 @@ struct TransformerEncoder::Workspace {
   Matrix x, q, k, v, ctx, tmp;  // [max_seq, d_model]
   Matrix h1;                    // [max_seq, d_ff]
   Matrix scores;                // [max_seq, max_seq]
+  Matrix bias;                  // [1, 2 * max_seq] relative bias by j - i
 
   explicit Workspace(const TransformerConfig& c)
       : x(c.max_seq_len, c.d_model),
@@ -27,7 +28,8 @@ struct TransformerEncoder::Workspace {
         ctx(c.max_seq_len, c.d_model),
         tmp(c.max_seq_len, c.d_model),
         h1(c.max_seq_len, c.d_ff),
-        scores(c.max_seq_len, c.max_seq_len) {}
+        scores(c.max_seq_len, c.max_seq_len),
+        bias(1, 2 * c.max_seq_len) {}
 };
 
 namespace {
@@ -285,20 +287,24 @@ void TransformerEncoder::ForwardNoGrad(const u32* ids, int L, Workspace& ws,
         kern::ScaleAdd(L, inv_sqrt_dh, srow, 0.0f, srow);  // Scale
       }
       if (config_.position_mode == PositionMode::kRelativeBias) {
+        // AddRelPosBias. The bias of (i, j) depends only on j - i, so one
+        // row brow[t] = bias(L - 1, t) holds every row: row i is the slice
+        // starting at L - 1 - i. Axpy with alpha 1 is the graph's exact add.
         const Matrix& table = layer.rel_bias[h]->value();
         const int buckets = table.cols();
         const int radius = (buckets - 1) / 2;
         const float* trow = table.row(0);
+        float* brow = ws.bias.data();
+        for (int t = 0; t < 2 * L - 1; ++t) {
+          brow[t] = trow[RelPosBucket(L - 1, t, radius, buckets)];
+        }
         for (int i = 0; i < L; ++i) {
-          float* srow = ws.scores.row(i);
-          for (int j = 0; j < L; ++j) {
-            srow[j] += trow[RelPosBucket(i, j, radius, buckets)];
-          }
+          kern::Axpy(L, 1.0f, brow + (L - 1 - i), ws.scores.row(i));
         }
       }
       for (int i = 0; i < L; ++i) {
         float* srow = ws.scores.row(i);
-        SoftmaxRow(srow, nullptr, srow, L);  // RowSoftmax
+        kern::Softmax(L, srow, nullptr, srow);  // RowSoftmax
       }
       kern::SgemmNN(L, dh, L, sc, ld_scores, vh, d, ws.ctx.data() + h * dh,
                     d);
@@ -321,10 +327,9 @@ void TransformerEncoder::ForwardNoGrad(const u32* ids, int L, Workspace& ws,
     kern::SgemmNN(L, d_ff, d, ws.x.data(), d, layer.ff1_w->value().data(),
                   d_ff, ws.h1.data(), d_ff);
     for (int i = 0; i < L; ++i) {
-      float* hrow = ws.h1.row(i);
-      kern::Axpy(d_ff, 1.0f, layer.ff1_b->value().row(0), hrow);
-      for (int j = 0; j < d_ff; ++j) hrow[j] = GeluValue(hrow[j]);
+      kern::Axpy(d_ff, 1.0f, layer.ff1_b->value().row(0), ws.h1.row(i));
     }
+    kern::GeluTanh(L * d_ff, ws.h1.data(), ws.h1.data());
     ZeroRows(ws.tmp, L);
     kern::SgemmNN(L, d, d_ff, ws.h1.data(), d_ff,
                   layer.ff2_w->value().data(), d, ws.tmp.data(), d);

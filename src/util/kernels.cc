@@ -82,6 +82,30 @@ void ScaleAddScalar(int n, float alpha, const float* x, float beta,
   }
 }
 
+void GeluTanhScalar(int n, const float* x, float* out) {
+  for (int i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float t = std::tanh(kGeluC * (v + 0.044715f * v * v * v));
+    out[i] = 0.5f * v * (1.0f + t);
+  }
+}
+
+void SoftmaxScalar(int n, const float* x, const float* mask, float* out) {
+  float maxv = -1e30f;
+  for (int j = 0; j < n; ++j) {
+    const float v = x[j] + (mask ? mask[j] : 0.0f);
+    out[j] = v;
+    if (v > maxv) maxv = v;
+  }
+  double sum = 0.0;
+  for (int j = 0; j < n; ++j) {
+    out[j] = std::exp(out[j] - maxv);
+    sum += out[j];
+  }
+  const float inv = static_cast<float>(1.0 / sum);
+  for (int j = 0; j < n; ++j) out[j] *= inv;
+}
+
 // GEMM blocking constants, shared by both tiers so the per-element chain
 // (seeded 0 per KC block of k, ascending within it) is tier-independent in
 // SHAPE — only the fused-vs-unfused arithmetic differs.
@@ -144,6 +168,28 @@ void SgemmScalar(Variant variant, int m, int n, int k, const float* a,
 
 #if DJ_KERNELS_X86
 
+// Fixed-order horizontal sum: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+__attribute__((target("avx2")))
+inline float HSum8(__m256 acc) {
+  const __m128 lo = _mm256_castps256_ps128(acc);
+  const __m128 hi = _mm256_extractf128_ps(acc, 1);
+  const __m128 s4 = _mm_add_ps(lo, hi);
+  const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
+  const __m128 s1 = _mm_add_ss(s2, _mm_movehdup_ps(s2));
+  return _mm_cvtss_f32(s1);
+}
+
+// Mask table for partial 8-lane groups: Mask8(v) has the first v lanes
+// enabled. (Entry layout: 8 ones then 8 zeros; slide the window.)
+alignas(32) constexpr int kMaskTable[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                            0,  0,  0,  0,  0,  0,  0,  0};
+
+__attribute__((target("avx2")))
+inline __m256i Mask8(int valid) {
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kMaskTable + 8 - valid));
+}
+
 __attribute__((target("avx2,fma")))
 float DotAvx2(const float* a, const float* b, int n) {
   __m256 acc0 = _mm256_setzero_ps();
@@ -160,14 +206,7 @@ float DotAvx2(const float* a, const float* b, int n) {
                            acc0);
     i += 8;
   }
-  // Fixed-order horizontal sum: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
-  const __m256 acc = _mm256_add_ps(acc0, acc1);
-  const __m128 lo = _mm256_castps256_ps128(acc);
-  const __m128 hi = _mm256_extractf128_ps(acc, 1);
-  const __m128 s4 = _mm_add_ps(lo, hi);
-  const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-  const __m128 s1 = _mm_add_ss(s2, _mm_movehdup_ps(s2));
-  float sum = _mm_cvtss_f32(s1);
+  float sum = HSum8(_mm256_add_ps(acc0, acc1));
   for (; i < n; ++i) sum = std::fma(a[i], b[i], sum);
   return sum;
 }
@@ -191,13 +230,7 @@ float SquaredL2Avx2(const float* a, const float* b, int n) {
     acc0 = _mm256_fmadd_ps(d0, d0, acc0);
     i += 8;
   }
-  const __m256 acc = _mm256_add_ps(acc0, acc1);
-  const __m128 lo = _mm256_castps256_ps128(acc);
-  const __m128 hi = _mm256_extractf128_ps(acc, 1);
-  const __m128 s4 = _mm_add_ps(lo, hi);
-  const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-  const __m128 s1 = _mm_add_ss(s2, _mm_movehdup_ps(s2));
-  float sum = _mm_cvtss_f32(s1);
+  float sum = HSum8(_mm256_add_ps(acc0, acc1));
   for (; i < n; ++i) {
     const float d = a[i] - b[i];
     sum = std::fma(d, d, sum);
@@ -239,13 +272,7 @@ float SquaredL2Sq8Avx2(const float* q, const u8* codes, const float* lo,
     acc0 = _mm256_fmadd_ps(d0, d0, acc0);
     i += 8;
   }
-  const __m256 acc = _mm256_add_ps(acc0, acc1);
-  const __m128 lo128 = _mm256_castps256_ps128(acc);
-  const __m128 hi128 = _mm256_extractf128_ps(acc, 1);
-  const __m128 s4 = _mm_add_ps(lo128, hi128);
-  const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-  const __m128 s1 = _mm_add_ss(s2, _mm_movehdup_ps(s2));
-  float sum = _mm_cvtss_f32(s1);
+  float sum = HSum8(_mm256_add_ps(acc0, acc1));
   for (; i < n; ++i) {
     const float v = std::fma(scale[i], static_cast<float>(codes[i]), lo[i]);
     const float d = q[i] - v;
@@ -287,39 +314,149 @@ void ScaleAddAvx2(int n, float alpha, const float* x, float beta, float* y) {
   for (; i < n; ++i) y[i] = std::fma(beta, y[i], alpha * x[i]);
 }
 
-// Mask table for partial 8-lane column groups: Mask8(v) has the first v
-// lanes enabled. (Entry layout: 8 ones then 8 zeros; slide the window.)
-alignas(32) constexpr int kMaskTable[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                            0,  0,  0,  0,  0,  0,  0,  0};
-
-__attribute__((target("avx2")))
-inline __m256i Mask8(int valid) {
-  return _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMaskTable + 8 - valid));
+// Cephes-style e^x on 8 lanes; the steps are documented in kernels.h.
+__attribute__((target("avx2,fma")))
+inline __m256 Exp8(__m256 x) {
+  const __m256 lo = _mm256_set1_ps(-87.33654f);  // ln(2^-126)
+  const __m256 underflow = _mm256_cmp_ps(x, lo, _CMP_LT_OQ);
+  x = _mm256_min_ps(_mm256_max_ps(x, lo), _mm256_set1_ps(88.0f));
+  const __m256 n = _mm256_round_ps(
+      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+  const __m256 er = _mm256_add_ps(
+      _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r), _mm256_set1_ps(1.0f));
+  // 2^n: n in [-126, 127] after the clamp, so the biased exponent is a
+  // normal one.
+  const __m256 pow2n = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23));
+  return _mm256_andnot_ps(underflow, _mm256_mul_ps(er, pow2n));
 }
 
-/// 4x16 FMA microkernel over one packed KC block. ap holds kc steps of 4
-/// A values (k-major: ap[p*4 + r]); bp holds kc steps of 16 B values
-/// (bp[p*16 + j]); both zero-padded, so every accumulator lane is the
-/// documented single FMA chain. Adds the block sums into C, touching only
-/// the `rows` x `cols` valid corner.
 __attribute__((target("avx2,fma")))
-void MicroKernel4x16(int kc, const float* ap, const float* bp, float* c,
-                     int ldc, int rows, int cols) {
-  __m256 acc[kMR][2];
-  for (int r = 0; r < kMR; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
+inline __m256 Gelu8(__m256 v) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 v3 = _mm256_mul_ps(
+      _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.044715f), v), v), v);
+  const __m256 z = _mm256_mul_ps(_mm256_set1_ps(kGeluC), _mm256_add_ps(v, v3));
+  const __m256 e2z = Exp8(_mm256_add_ps(z, z));
+  const __m256 t = _mm256_sub_ps(
+      one, _mm256_div_ps(_mm256_set1_ps(2.0f), _mm256_add_ps(e2z, one)));
+  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), v),
+                       _mm256_add_ps(one, t));
+}
+
+__attribute__((target("avx2,fma")))
+void GeluTanhAvx2(int n, const float* x, float* out) {
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i, Gelu8(_mm256_loadu_ps(x + i)));
   }
-  for (int p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kNR);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kNR + 8);
-    for (int r = 0; r < kMR; ++r) {
-      const __m256 av = _mm256_set1_ps(ap[p * kMR + r]);
-      acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+  if (i < n) {
+    const __m256i mask = Mask8(n - i);
+    _mm256_maskstore_ps(out + i, mask, Gelu8(_mm256_maskload_ps(x + i, mask)));
+  }
+}
+
+__attribute__((target("avx2,fma")))
+void SoftmaxAvx2(int n, const float* x, const float* mask, float* out) {
+  const int body = n & ~7;
+  const __m256i tail = Mask8(n - body);
+  // Pass 1: out = x (+ mask), running max seeded like the scalar tier.
+  __m256 vmax = _mm256_set1_ps(-1e30f);
+  for (int i = 0; i < body; i += 8) {
+    __m256 v = _mm256_loadu_ps(x + i);
+    if (mask != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(mask + i));
+    _mm256_storeu_ps(out + i, v);
+    vmax = _mm256_max_ps(vmax, v);
+  }
+  if (body < n) {
+    __m256 v = _mm256_maskload_ps(x + body, tail);
+    if (mask != nullptr) {
+      v = _mm256_add_ps(v, _mm256_maskload_ps(mask + body, tail));
     }
+    _mm256_maskstore_ps(out + body, tail, v);
+    vmax = _mm256_max_ps(
+        vmax, _mm256_blendv_ps(vmax, v, _mm256_castsi256_ps(tail)));
   }
+  __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(vmax),
+                         _mm256_extractf128_ps(vmax, 1));
+  m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+  m4 = _mm_max_ss(m4, _mm_movehdup_ps(m4));
+  const __m256 maxv = _mm256_broadcastss_ps(m4);
+  // Pass 2: out = e^(out - max), summed in one float accumulator.
+  __m256 acc = _mm256_setzero_ps();
+  for (int i = 0; i < body; i += 8) {
+    const __m256 e = Exp8(_mm256_sub_ps(_mm256_loadu_ps(out + i), maxv));
+    _mm256_storeu_ps(out + i, e);
+    acc = _mm256_add_ps(acc, e);
+  }
+  if (body < n) {
+    const __m256 e =
+        Exp8(_mm256_sub_ps(_mm256_maskload_ps(out + body, tail), maxv));
+    _mm256_maskstore_ps(out + body, tail, e);
+    acc = _mm256_add_ps(acc, _mm256_and_ps(e, _mm256_castsi256_ps(tail)));
+  }
+  // Pass 3: normalise.
+  const __m256 inv = _mm256_set1_ps(1.0f / HSum8(acc));
+  for (int i = 0; i < body; i += 8) {
+    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(out + i), inv));
+  }
+  if (body < n) {
+    _mm256_maskstore_ps(
+        out + body, tail,
+        _mm256_mul_ps(_mm256_maskload_ps(out + body, tail), inv));
+  }
+}
+
+/// 4x16 FMA microkernel over one KC block. Row r of op(A) starts at a[r]
+/// and steps by a_step per k; b holds kc rows of 16 B values, ldb apart.
+/// Every accumulator lane is the documented single FMA chain. Rows past
+/// `rows` alias the last valid row (so nothing past op(A) is read) and
+/// are never stored; only the `rows` x `cols` valid corner of C is
+/// updated. The eight accumulators are named variables, not an array,
+/// so they stay in registers at -O2.
+__attribute__((target("avx2,fma")))
+void MicroKernel4x16(int kc, const float* const* a, int a_step,
+                     const float* b, int ldb, float* c, int ldc, int rows,
+                     int cols) {
+  const float* a0 = a[0];
+  const float* a1 = a[1];
+  const float* a2 = a[2];
+  const float* a3 = a[3];
+  __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+  __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+  __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
+  __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+  for (int p = 0; p < kc; ++p) {
+    const __m256 b0 = _mm256_loadu_ps(b);
+    const __m256 b1 = _mm256_loadu_ps(b + 8);
+    __m256 av = _mm256_broadcast_ss(a0);
+    c00 = _mm256_fmadd_ps(av, b0, c00);
+    c01 = _mm256_fmadd_ps(av, b1, c01);
+    av = _mm256_broadcast_ss(a1);
+    c10 = _mm256_fmadd_ps(av, b0, c10);
+    c11 = _mm256_fmadd_ps(av, b1, c11);
+    av = _mm256_broadcast_ss(a2);
+    c20 = _mm256_fmadd_ps(av, b0, c20);
+    c21 = _mm256_fmadd_ps(av, b1, c21);
+    av = _mm256_broadcast_ss(a3);
+    c30 = _mm256_fmadd_ps(av, b0, c30);
+    c31 = _mm256_fmadd_ps(av, b1, c31);
+    b += ldb;
+    a0 += a_step;
+    a1 += a_step;
+    a2 += a_step;
+    a3 += a_step;
+  }
+  const __m256 acc[kMR][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
   for (int r = 0; r < rows; ++r) {
     float* crow = c + static_cast<size_t>(r) * ldc;
     for (int half = 0; half < 2; ++half) {
@@ -355,72 +492,40 @@ void PackBPanel(Variant variant, const float* b, int ldb, int k0, int kc,
   }
 }
 
-/// Packs the `rows` x kc block of op(A) at (i0, k0) into a zero-padded
-/// kc x kMR panel, k-major.
-void PackAPanel(Variant variant, const float* a, int lda, int i0, int rows,
-                int k0, int kc, float* out) {
-  if (variant == Variant::kTN) {
-    for (int p = 0; p < kc; ++p) {
-      const float* src = a + static_cast<size_t>(k0 + p) * lda + i0;
-      float* dst = out + static_cast<size_t>(p) * kMR;
-      for (int r = 0; r < rows; ++r) dst[r] = src[r];
-      for (int r = rows; r < kMR; ++r) dst[r] = 0.0f;
-    }
-    return;
-  }
-  for (int p = 0; p < kc; ++p) {
-    float* dst = out + static_cast<size_t>(p) * kMR;
-    for (int r = 0; r < rows; ++r) {
-      dst[r] = a[static_cast<size_t>(i0 + r) * lda + k0 + p];
-    }
-    for (int r = rows; r < kMR; ++r) dst[r] = 0.0f;
-  }
-}
-
-using PackVector = std::vector<float, AlignedAllocator<float, 64>>;
-
-struct PackBuffers {
-  PackVector a;
-  PackVector b;
-};
-
-PackBuffers& TlsPackBuffers() {
-  thread_local PackBuffers buffers;
-  return buffers;
-}
-
-/// Blocked, packed GEMM driver (AVX2 tier). Per KC block: pack all of B
-/// once, then stream kMR-row panels of A through the microkernel. The
-/// zero padding in both panels means padded lanes/rows compute harmless
-/// garbage that is never stored, and every stored element is the
-/// documented chain.
+/// Blocked GEMM driver (AVX2 tier). Per KC block and 16-column panel of
+/// op(B), every kMR-row panel of op(A) runs through the microkernel while
+/// the B panel stays in L1. A is always read in place; a B panel is read
+/// in place when its rows are contiguous 16-float runs (NN/TN, full
+/// width) and packed otherwise (NT, or the narrower last panel).
 void SgemmAvx2(Variant variant, int m, int n, int k, const float* a, int lda,
                const float* b, int ldb, float* c, int ldc) {
-  PackBuffers& bufs = TlsPackBuffers();
-  const int n_panels = (n + kNR - 1) / kNR;
-  const size_t bneed = static_cast<size_t>(n_panels) *
-                       static_cast<size_t>(std::min(k, kKC)) * kNR;
-  // Pack buffers reuse thread-local capacity; growth is warmup-only.
-  if (bufs.b.size() < bneed) bufs.b.resize(bneed);  // dj_alloc: allow(alloc)
-  const size_t aneed = static_cast<size_t>(std::min(k, kKC)) * kMR;
-  if (bufs.a.size() < aneed) bufs.a.resize(aneed);  // dj_alloc: allow(alloc)
-
+  // op(A)(i, p) = a[i * a_row + p * a_step].
+  const size_t a_row = variant == Variant::kTN ? 1 : static_cast<size_t>(lda);
+  const int a_step = variant == Variant::kTN ? lda : 1;
+  // Scratch for packed panels; PackBPanel writes all kc x kNR values of it
+  // before the microkernel reads any.
+  alignas(64) float pack[kKC * kNR];
   for (int k0 = 0; k0 < k; k0 += kKC) {
     const int kc = std::min(kKC, k - k0);
-    for (int jp = 0; jp < n_panels; ++jp) {
-      const int j0 = jp * kNR;
-      PackBPanel(variant, b, ldb, k0, kc, j0, std::min(kNR, n - j0),
-                 bufs.b.data() + static_cast<size_t>(jp) * kc * kNR);
-    }
-    for (int i0 = 0; i0 < m; i0 += kMR) {
-      const int rows = std::min(kMR, m - i0);
-      PackAPanel(variant, a, lda, i0, rows, k0, kc, bufs.a.data());
-      for (int jp = 0; jp < n_panels; ++jp) {
-        const int j0 = jp * kNR;
-        MicroKernel4x16(kc, bufs.a.data(),
-                        bufs.b.data() + static_cast<size_t>(jp) * kc * kNR,
+    for (int j0 = 0; j0 < n; j0 += kNR) {
+      const int cols = std::min(kNR, n - j0);
+      const float* bp = b + static_cast<size_t>(k0) * ldb + j0;
+      int ldbp = ldb;
+      if (variant == Variant::kNT || cols < kNR) {
+        PackBPanel(variant, b, ldb, k0, kc, j0, cols, pack);
+        bp = pack;
+        ldbp = kNR;
+      }
+      for (int i0 = 0; i0 < m; i0 += kMR) {
+        const int rows = std::min(kMR, m - i0);
+        const float* ar[kMR];
+        for (int r = 0; r < kMR; ++r) {
+          ar[r] = a + static_cast<size_t>(i0 + std::min(r, rows - 1)) * a_row +
+                  static_cast<size_t>(k0) * a_step;
+        }
+        MicroKernel4x16(kc, ar, a_step, bp, ldbp,
                         c + static_cast<size_t>(i0) * ldc + j0, ldc, rows,
-                        std::min(kNR, n - j0));
+                        cols);
       }
     }
   }
@@ -516,6 +621,26 @@ void ScaleAdd(int n, float alpha, const float* x, float beta, float* y) {
   }
 #endif
   ScaleAddScalar(n, alpha, x, beta, y);
+}
+
+void GeluTanh(int n, const float* x, float* out) {
+#if DJ_KERNELS_X86
+  if (ActiveTier() == Tier::kAvx2) {
+    GeluTanhAvx2(n, x, out);
+    return;
+  }
+#endif
+  GeluTanhScalar(n, x, out);
+}
+
+void Softmax(int n, const float* x, const float* mask, float* out) {
+#if DJ_KERNELS_X86
+  if (ActiveTier() == Tier::kAvx2) {
+    SoftmaxAvx2(n, x, mask, out);
+    return;
+  }
+#endif
+  SoftmaxScalar(n, x, mask, out);
 }
 
 void SgemmNN(int m, int n, int k, const float* a, int lda, const float* b,

@@ -1,7 +1,8 @@
 // Runtime-dispatched compute kernels — the single home for SIMD in this
 // tree (enforced by dj_lint rule `simd-intrinsics`). Every hot float loop
 // in the repo (GEMM for training/inference, L2 distances for ANN search,
-// axpy/scale for autograd) routes through this API.
+// axpy/scale for autograd, GELU/softmax for the transformer) routes
+// through this API.
 //
 // Dispatch: one of two tiers is selected once, at first use, via cpuid:
 //   kAvx2   — AVX2 + FMA vector paths (x86-64 with both features)
@@ -50,6 +51,31 @@
 //    acc = fma(d, d, acc). Horizontal sum in the same fixed order
 //    ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)); the <8 tail folds in
 //    sequentially with std::fma for both the decode and the accumulate.
+//  * GeluTanh, scalar tier: per element, with c = kGeluC,
+//    t = std::tanh(c * (v + 0.044715f*v*v*v)) and out = 0.5f*v*(1.0f + t),
+//    products left to right, every operation rounded separately.
+//  * GeluTanh, AVX2 tier: elementwise, so a value's result does not depend
+//    on its lane or on n. z = c * (v + ((0.044715f*v)*v)*v) unfused, then
+//    tanh(z) = 1 - 2/(e^{2z} + 1) with an IEEE divide and Exp8 below, then
+//    out = (0.5f*v) * (1 + t). The tail (< 8 values) runs the same vector
+//    code under Mask8.
+//  * Softmax, scalar tier: v[j] = x[j] (+ mask[j]); max over j ascending
+//    seeded at -1e30f; e[j] = std::exp(v[j] - max); sum accumulated in
+//    double, j ascending; inv = float(1.0/sum); out[j] = e[j] * inv.
+//  * Softmax, AVX2 tier: same max (order-free) and the same v - max;
+//    e = Exp8(v - max); the sum is one 8-lane float accumulator over
+//    8-blocks ascending (masked tail lanes add 0), reduced in the fixed
+//    order ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)); inv = 1.0f/sum (float);
+//    out = e * inv.
+//  * Exp8 (internal to the AVX2 tier, Cephes style): inputs clamped to
+//    [-87.33654f, 88.0f]; n = round-to-nearest(x*log2e); r = x - n*C1 -
+//    n*C2 (C1 + C2 = ln 2, one FMA each); degree-5 polynomial p(r) by
+//    Horner FMAs; e^r = fma(p, r*r, r) + 1; times 2^n built by an exponent
+//    add. Inputs below -87.33654f (about ln 2^-126) return exactly 0.
+//    Relative error is a few ulp. Measured cross-tier gaps: GELU and
+//    softmax within 3e-7 of double references in both tiers
+//    (kernels_test bounds them at 1e-6 and 5e-7), encoder outputs within
+//    2.1e-7 of each other (tools/encoder_probe; ctest bounds it at 1e-4).
 //
 // Alignment: kernels never REQUIRE alignment (all loads/stores are
 // unaligned ops); nn::Matrix guarantees 64-byte-aligned storage so the
@@ -109,15 +135,30 @@ DJ_NOALLOC void Axpy(int n, float alpha, const float* x, float* y);
 DJ_NOALLOC void ScaleAdd(int n, float alpha, const float* x, float beta,
                          float* y);
 
-// Blocked, packed single-precision GEMM, accumulating: C += op(A) @ op(B).
+inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+/// out[i] = GELU(x[i]), tanh approximation (BERT's variant):
+/// 0.5*v*(1 + tanh(sqrt(2/pi)*(v + 0.044715*v^3))). x == out is allowed.
+DJ_NOALLOC void GeluTanh(int n, const float* x, float* out);
+
+/// Numerically stable softmax over one row of n scores; `mask`, if
+/// non-null, is added to x first. x == out is allowed.
+DJ_NOALLOC void Softmax(int n, const float* x, const float* mask,
+                        float* out);
+
+// Blocked single-precision GEMM, accumulating: C += op(A) @ op(B).
 // All matrices are row-major with explicit leading dimensions (so callers
 // can run on sub-views, e.g. per-head column slices, without copies).
 //   NN: A is [m,k] (lda >= k), B is [k,n] (ldb >= n)
 //   NT: A is [m,k] (lda >= k), B is [n,k] (ldb >= k)  — C += A @ B^T
 //   TN: A is [k,m] (lda >= m), B is [k,n] (ldb >= n)  — C += A^T @ B
 // C is [m,n] (ldc >= n) and must not alias A or B.
-// DJ_NOALLOC steady state: the thread-local pack/accumulator scratch
-// grows to the largest (n, k) seen and then reuses capacity.
+// The AVX2 tier reads A and full-width (16-column) NN/TN panels of B in
+// place; it packs only NT panels (B^T is column-strided) and the last,
+// narrower-than-16 panel of B (zero-padded so the microkernel needs no
+// column tail), into a stack buffer. The scalar tier's thread-local
+// accumulator strip grows to the widest n seen and then reuses capacity
+// (DJ_NOALLOC steady state).
 DJ_NOALLOC void SgemmNN(int m, int n, int k, const float* a, int lda,
                         const float* b, int ldb, float* c, int ldc);
 DJ_NOALLOC void SgemmNT(int m, int n, int k, const float* a, int lda,

@@ -3,8 +3,10 @@
 //
 //  1. Value parity: each tier matches a scalar reference that implements
 //     the documented reduction order — EXACTLY (bitwise) for Dot /
-//     SquaredL2 / Axpy / ScaleAdd, and within a double-reference tolerance
-//     for the blocked GEMM.
+//     SquaredL2 / Axpy / ScaleAdd / Sgemm and for the scalar tier of
+//     GeluTanh / Softmax — plus tolerance checks against double
+//     references (GEMM, and the AVX2 tier's GeluTanh / Softmax, whose
+//     exp is a polynomial).
 //  2. Order invariance: GEMM results do not depend on leading dimensions
 //     or on how rows are partitioned across threads (parallel == serial,
 //     bit-identical).
@@ -20,6 +22,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <numbers>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,6 +157,34 @@ void RefGemm(Variant v, int m, int n, int k, const float* a, int lda,
         s += static_cast<double>(av) * bv;
       }
       c[static_cast<size_t>(i) * n + j] += s;
+    }
+  }
+}
+
+// Implements the header's per-element chain exactly: per KC = 256 block of
+// k, a partial seeded at 0 and stepped k-ascending (std::fma in the AVX2
+// tier, unfused multiply-add in the scalar tier), then added into C.
+void RefGemmChain(Tier tier, Variant v, int m, int n, int k, const float* a,
+                  int lda, const float* b, int ldb, float* c, int ldc) {
+  constexpr int kKC = 256;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      for (int k0 = 0; k0 < k; k0 += kKC) {
+        float partial = 0.0f;
+        for (int p = k0; p < std::min(k, k0 + kKC); ++p) {
+          const float av =
+              (v == Variant::kTN) ? a[p * lda + i] : a[i * lda + p];
+          const float bv =
+              (v == Variant::kNT) ? b[j * ldb + p] : b[p * ldb + j];
+          if (tier == Tier::kAvx2) {
+            partial = std::fma(av, bv, partial);
+          } else {
+            const float prod = av * bv;
+            partial = partial + prod;
+          }
+        }
+        c[static_cast<size_t>(i) * ldc + j] += partial;
+      }
     }
   }
 }
@@ -417,6 +448,210 @@ TEST(KernelsTest, SgemmMatchesDoubleReference) {
   }
 }
 
+TEST(KernelsTest, SgemmMatchesDocumentedChainExactly) {
+  // m % 4 in {1, 2, 3} leaves microkernel row tails, n % 16 != 0 leaves a
+  // packed edge panel, k = 300 spans two KC blocks, and padded leading
+  // dimensions put garbage the kernel must never read next to every row.
+  struct Shape { int m, n, k, pad; };
+  const Shape shapes[] = {{1, 1, 1, 0},    {5, 17, 300, 3}, {6, 33, 300, 1},
+                          {7, 50, 300, 2}, {13, 64, 300, 5}, {50, 16, 50, 0},
+                          {64, 256, 64, 0}, {37, 37, 16, 48}};
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    for (const auto& s : shapes) {
+      for (Variant v : {Variant::kNN, Variant::kNT, Variant::kTN}) {
+        const int ar = (v == Variant::kTN) ? s.k : s.m;
+        const int ac = (v == Variant::kTN) ? s.m : s.k;
+        const int br = (v == Variant::kNT) ? s.n : s.k;
+        const int bc = (v == Variant::kNT) ? s.k : s.n;
+        const int lda = ac + s.pad, ldb = bc + s.pad, ldc = s.n + s.pad;
+        const auto a = MakeVector(ar * lda, 23);
+        const auto b = MakeVector(br * ldb, 5150);
+        auto got = MakeVector(s.m * ldc, 61);  // accumulate onto nonzero C
+        auto want = got;
+        RefGemmChain(tier, v, s.m, s.n, s.k, a.data(), lda, b.data(), ldb,
+                     want.data(), ldc);
+        CallSgemm(v, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, got.data(),
+                  ldc);
+        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 got.size() * sizeof(float)))
+            << TierName(tier) << " variant=" << static_cast<int>(v)
+            << " m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " pad=" << s.pad;
+      }
+    }
+  }
+}
+
+// ---- GeluTanh / Softmax ----------------------------------------------------
+
+// The scalar tier's documented formulas, written out independently.
+float RefGeluScalar(float v) {
+  const float t = std::tanh(kGeluC * (v + 0.044715f * v * v * v));
+  return 0.5f * v * (1.0f + t);
+}
+
+void RefSoftmaxScalar(const float* x, const float* mask, float* out, int n) {
+  float maxv = -1e30f;
+  for (int j = 0; j < n; ++j) {
+    const float v = x[j] + (mask ? mask[j] : 0.0f);
+    out[j] = v;
+    if (v > maxv) maxv = v;
+  }
+  double sum = 0.0;
+  for (int j = 0; j < n; ++j) {
+    out[j] = std::exp(out[j] - maxv);
+    sum += out[j];
+  }
+  const float inv = static_cast<float>(1.0 / sum);
+  for (int j = 0; j < n; ++j) out[j] *= inv;
+}
+
+double RefGeluDouble(double v) {
+  const double c = std::sqrt(2.0 / std::numbers::pi);
+  return 0.5 * v * (1.0 + std::tanh(c * (v + 0.044715 * v * v * v)));
+}
+
+std::vector<double> RefSoftmaxDouble(const std::vector<float>& x,
+                                     const std::vector<float>* mask) {
+  const size_t n = x.size();
+  std::vector<double> v(n);
+  double maxv = -1e30;
+  for (size_t j = 0; j < n; ++j) {
+    v[j] = static_cast<double>(x[j]) + (mask ? (*mask)[j] : 0.0f);
+    maxv = std::max(maxv, v[j]);
+  }
+  double sum = 0.0;
+  for (double& e : v) sum += (e = std::exp(e - maxv));
+  for (double& e : v) e /= sum;
+  return v;
+}
+
+// Absolute error bounds of each tier against the double references, over
+// the inputs below (|x| <= 8 plus +-80 for GELU, softmax logits in
+// [-16, 16]). The measured worst cases are 2.9e-7 (GELU, both tiers) and
+// 1.5e-7 (AVX2 softmax; scalar 4e-8), about a third of these.
+constexpr double kGeluTol = 1e-6;
+constexpr double kSoftmaxTol = 5e-7;
+
+// GELU inputs: the shared pattern scaled to [-8, 8], with +-80 mixed in.
+std::vector<float> GeluInputs(int n, int salt) {
+  std::vector<float> x = MakeVector(n, salt);
+  for (int i = 0; i < n; ++i) {
+    float& v = x[static_cast<size_t>(i)];
+    v = (i % 13 == 5) ? 80.0f : (i % 13 == 9) ? -80.0f : 4.0f * v;
+  }
+  return x;
+}
+
+TEST(KernelsTest, GeluTanhMatchesScalarFormulaAndDoubleReference) {
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    for (int n = 1; n <= 129; ++n) {
+      // Exact-size allocations: a tail over-read trips ASan.
+      const auto x = GeluInputs(n, 3 * n);
+      std::vector<float> out(static_cast<size_t>(n));
+      GeluTanh(n, x.data(), out.data());
+      auto in_place = x;
+      GeluTanh(n, in_place.data(), in_place.data());
+      ASSERT_EQ(0, std::memcmp(out.data(), in_place.data(),
+                               out.size() * sizeof(float)))
+          << TierName(tier) << " n=" << n;
+      for (int i = 0; i < n; ++i) {
+        const size_t s = static_cast<size_t>(i);
+        ASSERT_TRUE(std::isfinite(out[s])) << TierName(tier) << " x=" << x[s];
+        if (tier == Tier::kScalar) {
+          const float want = RefGeluScalar(x[s]);
+          ASSERT_EQ(0, std::memcmp(&out[s], &want, sizeof(float)))
+              << "n=" << n << " x=" << x[s];
+        }
+        ASSERT_NEAR(RefGeluDouble(x[s]), out[s], kGeluTol)
+            << TierName(tier) << " n=" << n << " x=" << x[s];
+      }
+    }
+    // Saturation: the tails are exactly v and -0.
+    const std::vector<float> big = {80.0f, -80.0f, 1e30f, -1e30f};
+    std::vector<float> out(big.size());
+    GeluTanh(static_cast<int>(big.size()), big.data(), out.data());
+    EXPECT_EQ(80.0f, out[0]) << TierName(tier);
+    EXPECT_EQ(0.0f, out[1]) << TierName(tier);
+    EXPECT_EQ(1e30f, out[2]) << TierName(tier);
+    EXPECT_EQ(0.0f, out[3]) << TierName(tier);
+  }
+}
+
+TEST(KernelsTest, SoftmaxMatchesScalarFormulaAndDoubleReference) {
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    for (int n = 1; n <= 129; ++n) {
+      auto x = MakeVector(n, 7 * n);
+      for (float& v : x) v *= 8.0f;  // logits in [-16, 16]
+      std::vector<float> mask(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        mask[static_cast<size_t>(i)] = (i % 5 == 3 && n > 1) ? -1e30f : 0.0f;
+      }
+      const std::vector<float>* masks[] = {nullptr, &mask};
+      for (const std::vector<float>* m : masks) {
+        const float* mp = m ? m->data() : nullptr;
+        std::vector<float> out(static_cast<size_t>(n));
+        Softmax(n, x.data(), mp, out.data());
+        auto in_place = x;
+        Softmax(n, in_place.data(), mp, in_place.data());
+        ASSERT_EQ(0, std::memcmp(out.data(), in_place.data(),
+                                 out.size() * sizeof(float)))
+            << TierName(tier) << " n=" << n;
+        if (tier == Tier::kScalar) {
+          std::vector<float> want(static_cast<size_t>(n));
+          RefSoftmaxScalar(x.data(), mp, want.data(), n);
+          ASSERT_EQ(0, std::memcmp(out.data(), want.data(),
+                                   out.size() * sizeof(float)))
+              << "n=" << n << " masked=" << (m != nullptr);
+        }
+        const auto ref = RefSoftmaxDouble(x, m);
+        double sum = 0.0;
+        for (int i = 0; i < n; ++i) {
+          const size_t s = static_cast<size_t>(i);
+          ASSERT_TRUE(std::isfinite(out[s])) << TierName(tier);
+          ASSERT_NEAR(ref[s], out[s], kSoftmaxTol)
+              << TierName(tier) << " n=" << n << " i=" << i
+              << " masked=" << (m != nullptr);
+          if (m != nullptr && mask[s] < 0.0f) {
+            ASSERT_EQ(0.0f, out[s]) << TierName(tier) << " n=" << n;
+          }
+          sum += out[s];
+        }
+        ASSERT_NEAR(1.0, sum, 1e-6) << TierName(tier) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, SoftmaxExtremeRowsStayFinite) {
+  // Rows of -1e30 (every score masked), constant rows, and +-80 spreads.
+  const int n = 37;
+  std::vector<std::vector<float>> rows = {
+      std::vector<float>(n, -1e30f), std::vector<float>(n, 3.5f),
+      std::vector<float>(n, 0.0f), MakeVector(n, 99)};
+  for (int i = 0; i < n; ++i) rows[3][static_cast<size_t>(i)] *= 40.0f;
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      std::vector<float> out(static_cast<size_t>(n));
+      Softmax(n, rows[r].data(), nullptr, out.data());
+      double sum = 0.0;
+      for (float v : out) {
+        ASSERT_TRUE(std::isfinite(v)) << TierName(tier) << " row=" << r;
+        sum += v;
+      }
+      EXPECT_NEAR(1.0, sum, 1e-6) << TierName(tier) << " row=" << r;
+      if (r < 3) {
+        // Constant rows are exactly uniform: every e^(v - max) is e^0 = 1.
+        for (float v : out) ASSERT_EQ(1.0f / n, v) << TierName(tier);
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, SgemmIsLeadingDimensionInvariant) {
   // Same logical matrices, tight vs padded layouts: bit-identical C. This
   // is the property the transformer fast path's strided per-head views
@@ -485,34 +720,49 @@ TEST(KernelsTest, ParallelMatMulBitIdenticalToSerial) {
 
 TEST(KernelsTest, EncoderFastPathBitIdenticalToGraph) {
   // The allocation-free EncodeToVector must reproduce the autograd graph
-  // forward bit for bit, in both tiers and both position modes.
-  for (nn::PositionMode mode :
-       {nn::PositionMode::kAbsolute, nn::PositionMode::kRelativeBias}) {
-    nn::TransformerConfig tc;
+  // forward bit for bit, in both tiers and both position modes, at the
+  // default shape and at the MPNetSim shape (d_model 64, d_ff 256,
+  // relative bias with radius 8). The lengths cover every microkernel row
+  // tail (L % 4), both ends of the relative-bias row, and truncation
+  // (74 > max_seq_len 64).
+  nn::TransformerConfig abs_cfg;
+  abs_cfg.position_mode = nn::PositionMode::kAbsolute;
+  nn::TransformerConfig rel_cfg;
+  rel_cfg.position_mode = nn::PositionMode::kRelativeBias;
+  nn::TransformerConfig mpnet_cfg = rel_cfg;
+  mpnet_cfg.d_model = 64;
+  mpnet_cfg.d_ff = 256;
+  mpnet_cfg.rel_radius = 8;
+  for (nn::TransformerConfig tc : {abs_cfg, rel_cfg, mpnet_cfg}) {
     tc.vocab_size = 97;
-    tc.position_mode = mode;
     nn::TransformerEncoder enc(tc);
-    std::vector<u32> ids;
-    for (int i = 0; i < 37; ++i) ids.push_back(static_cast<u32>((i * 13) % 97));
-    for (Tier tier : AvailableTiers()) {
-      ForcedTier forced(tier);
-      std::vector<float> graph_out;
-      {
-        nn::NoGradGuard guard;
-        nn::VarPtr out = enc.Encode(ids);
-        const float* row = out->value().row(0);
-        graph_out.assign(row, row + tc.d_model);
+    for (int len : {1, 2, 5, 8, 17, 37, 63, 64, 74}) {
+      std::vector<u32> ids;
+      for (int i = 0; i < len; ++i) {
+        ids.push_back(static_cast<u32>((i * 13) % 97));
       }
-      std::vector<float> fast_out(static_cast<size_t>(tc.d_model));
-      enc.EncodeToVector(ids, fast_out.data());
-      ASSERT_EQ(0, std::memcmp(graph_out.data(), fast_out.data(),
-                               graph_out.size() * sizeof(float)))
-          << TierName(tier)
-          << " mode=" << (mode == nn::PositionMode::kAbsolute ? "abs" : "rel");
-      // The vector overload is the same path.
-      const std::vector<float> vec_out = enc.EncodeToVector(ids);
-      ASSERT_EQ(0, std::memcmp(graph_out.data(), vec_out.data(),
-                               graph_out.size() * sizeof(float)));
+      for (Tier tier : AvailableTiers()) {
+        ForcedTier forced(tier);
+        std::vector<float> graph_out;
+        {
+          nn::NoGradGuard guard;
+          nn::VarPtr out = enc.Encode(ids);
+          const float* row = out->value().row(0);
+          graph_out.assign(row, row + tc.d_model);
+        }
+        std::vector<float> fast_out(static_cast<size_t>(tc.d_model));
+        enc.EncodeToVector(ids, fast_out.data());
+        ASSERT_EQ(0, std::memcmp(graph_out.data(), fast_out.data(),
+                                 graph_out.size() * sizeof(float)))
+            << TierName(tier) << " d_model=" << tc.d_model << " mode="
+            << (tc.position_mode == nn::PositionMode::kAbsolute ? "abs"
+                                                                : "rel")
+            << " L=" << len;
+        // The vector overload is the same path.
+        const std::vector<float> vec_out = enc.EncodeToVector(ids);
+        ASSERT_EQ(0, std::memcmp(graph_out.data(), vec_out.data(),
+                                 graph_out.size() * sizeof(float)));
+      }
     }
   }
 }

@@ -3,14 +3,18 @@
 # "Correctness tooling"):
 #
 #   1. plain build          + full ctest suite (includes the lint label:
-#                             dj_lint, dj_header_check, their self-tests)
+#                             dj_lint, dj_header_check, their self-tests;
+#                             and the kernel tier checks: kernels_test under
+#                             DJ_FORCE_SCALAR_KERNELS=1 and the
+#                             encoder_probe dump diffs, see util/kernels.h)
 #   2. clang thread-safety  + full ctest suite, built with clang++ and
 #      build                  -DDJ_THREAD_SAFETY=ON so -Wthread-safety
 #                             violations are errors and the negative-compile
 #                             proof runs [skipped with a notice: no clang++]
 #   3. ASan+UBSan build     + full ctest suite, including the `fault` label
-#                             (fault-injection + corruption torture), so
-#                             every injected failure path is leak/UB-checked
+#                             (fault-injection + corruption torture) and the
+#                             kernel tier checks, so every injected failure
+#                             path and kernel tail is leak/UB-checked
 #   4. TSan build           + the `tsan`-labeled concurrency tests
 #   4a. churn leg           + the live-index churn suites re-run by name:
 #                             churn stress under TSan and the crash torture
@@ -32,12 +36,7 @@
 #                             dispatcher and a live mutator) under TSan,
 #                             and the deadline short-circuit / backpressure
 #                             suites under ASan+UBSan
-#   5. kernel tiers         + kernels_test run twice (native dispatch and
-#                             DJ_FORCE_SCALAR_KERNELS=1) in the plain AND
-#                             ASan+UBSan trees, then encoder_probe dumps
-#                             diffed: bit-identical within a tier, within
-#                             1e-4 across tiers (see util/kernels.h)
-#   6. clang-tidy           over src/**.cc with the checked-in .clang-tidy
+#   5. clang-tidy           over src/**.cc with the checked-in .clang-tidy
 #                             [skipped with a notice when absent]
 #
 # Usage: tools/check.sh [--quick]
@@ -68,31 +67,7 @@ run_profile() {
     -j "$JOBS" $ctest_args)
 }
 
-# Runs the kernel parity suite in both dispatch tiers, then cross-checks
-# the encoder through tools/encoder_probe: a fresh dump must compare
-# bit-identically against itself within each tier, and the scalar tier
-# must stay within 1e-4 of the native tier (the documented precision gap
-# between reduction orders — util/kernels.h). On hosts without AVX2 both
-# runs exercise the scalar tier; the forced run is then redundant but
-# still cheap and green.
-check_kernel_tiers() {
-  local dir="$1" label="$2"
-  echo "=== [$label] kernels_test: native dispatch tier ==="
-  "$ROOT/$dir/tests/kernels_test"
-  echo "=== [$label] kernels_test: DJ_FORCE_SCALAR_KERNELS=1 ==="
-  DJ_FORCE_SCALAR_KERNELS=1 "$ROOT/$dir/tests/kernels_test"
-  echo "=== [$label] encoder_probe: tier diff ==="
-  local dump
-  dump="$(mktemp "${TMPDIR:-/tmp}/encoder_probe.XXXXXX")"
-  "$ROOT/$dir/tools/encoder_probe" --out "$dump"
-  "$ROOT/$dir/tools/encoder_probe" --compare "$dump"
-  DJ_FORCE_SCALAR_KERNELS=1 "$ROOT/$dir/tools/encoder_probe" \
-    --compare "$dump" --tol 1e-4
-  rm -f "$dump"
-}
-
 run_profile build "plain" ""
-check_kernel_tiers build "plain"
 
 if [[ "$QUICK" == "0" ]]; then
   # Compile-time concurrency contracts: the whole tree + tests under
@@ -117,7 +92,6 @@ if [[ "$QUICK" == "0" ]]; then
   export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
   run_profile build-asan "asan+ubsan" "" -DDJ_SANITIZE="address;undefined"
-  check_kernel_tiers build-asan "asan+ubsan"
   run_profile build-tsan "tsan" "-L tsan" -DDJ_SANITIZE="thread"
 
   # Live-index churn (DESIGN.md §12). The tsan and asan profiles above

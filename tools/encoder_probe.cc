@@ -4,10 +4,11 @@
 // inference fast path, and prints every embedding value as a C99 hex float
 // (%a — exact, round-trippable).
 //
-// tools/check.sh runs the probe twice — once per kernel tier (the second
-// run under DJ_FORCE_SCALAR_KERNELS=1) — and compares:
-//   encoder_probe --out /tmp/avx2.txt
-//   DJ_FORCE_SCALAR_KERNELS=1 encoder_probe --compare /tmp/avx2.txt --tol 1e-4
+// ctest runs the probe once per kernel tier (the second run under
+// DJ_FORCE_SCALAR_KERNELS=1) and compares (tests/CMakeLists.txt):
+//   encoder_probe --out native.txt
+//   encoder_probe --compare native.txt --tol 0
+//   DJ_FORCE_SCALAR_KERNELS=1 encoder_probe --compare native.txt --tol 1e-4
 // Within one tier the dump is bit-stable (tol 0 compares exactly); across
 // tiers low-order bits differ by design (util/kernels.h), so the
 // cross-tier diff takes a tolerance.
