@@ -447,13 +447,14 @@ void BM_SearcherSteadyStateQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SearcherSteadyStateQuery);
 
-// Batched flat scan — the serving-layer execution path (DESIGN.md §13).
-// FlatIndex::SearchBatchInto amortises one pass over the corpus across the
-// whole batch via blocked SGEMM, so per-item time falls as Arg (the batch
-// size) grows; the Arg(1) row is the unbatched per-query baseline the
-// serving sweep's saturation_speedup figure compares against. The corpus
-// here is cache-resident, so this tracks the compute amortisation only —
-// BENCH_serve.json measures the full memory-bound regime.
+// Batched flat scan — the serving layer's flat execution path (DESIGN.md
+// §13). Arg (the batch size) riders board one FlatIndex::SharedScan
+// together and ride it to empty, so they share one pass over the corpus:
+// scalar row-major below kBatchGemmMinQueries riders, tiled SGEMM at or
+// above it. Per-item time falls as the batch grows; the Arg(1) row is the
+// single-query baseline, and the small Args bracket the GEMM cutover. The
+// corpus here is cache-resident, so this tracks the compute amortisation
+// only — BENCH_serve.json measures the full memory-bound regime.
 void BM_FlatSearchBatch(benchmark::State& state) {
   const int dim = 64;
   static ann::FlatIndex* index = [&] {
@@ -470,19 +471,38 @@ void BM_FlatSearchBatch(benchmark::State& state) {
   Rng rng(2);
   std::vector<float> queries(batch * static_cast<size_t>(dim));
   for (auto& x : queries) x = static_cast<float>(rng.Normal());
-  std::vector<std::vector<ann::Neighbor>> outs(batch);
-  const ann::AnnSearchParams params;
-  index->SearchBatchInto(queries.data(), batch, 10, params, outs.data());
+  ann::FlatIndex::SharedScan scan(index);
+  std::vector<size_t> done;
+  std::vector<ann::Neighbor> out;
+  const auto run_batch = [&] {
+    for (size_t q = 0; q < batch; ++q) {
+      scan.Board(queries.data() + q * static_cast<size_t>(dim), 10);
+    }
+    while (!scan.empty()) {
+      done.clear();
+      scan.Step(&done);
+      for (const size_t slot : done) scan.Harvest(slot, &out);
+    }
+  };
+  run_batch();  // warms the rider slots and the per-tile scratch
   alloc_guard::ScopedAllocCount tally;
   for (auto _ : state) {
-    index->SearchBatchInto(queries.data(), batch, 10, params, outs.data());
-    benchmark::DoNotOptimize(outs[0].data());
+    run_batch();
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(batch));
   ReportAllocsPerOp(state, tally);
 }
-BENCHMARK(BM_FlatSearchBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
+BENCHMARK(BM_FlatSearchBatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Arg(4)
+    ->Arg(6)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(64);
 
 void BM_JosieSearch(benchmark::State& state) {
   auto& env = SharedEnv();

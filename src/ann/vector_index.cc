@@ -75,9 +75,7 @@ std::vector<Neighbor> FlatIndex::Search(const float* query, size_t k,
   const size_t n = size();
   if (n == 0 || k == 0) return {};
   trace::Count("flat.dist_evals", n);
-  const bool refine =
-      params.refine_factor > 0 && refine_ != nullptr &&
-      store_->kind() != StorageKind::kFloat;
+  const bool refine = Refines(params.refine_factor);
   const size_t fetch =
       refine ? k * static_cast<size_t>(params.refine_factor) : k;
   TopK top(fetch);
@@ -92,117 +90,6 @@ std::vector<Neighbor> FlatIndex::Search(const float* query, size_t k,
   }
   if (refine) RefineResults(*refine_, query, k, &out);
   return out;
-}
-
-namespace {
-
-// Corpus rows per SGEMM tile. Small enough that one tile of scores
-// (nq x kScoreTileRows floats) plus the tile's rows stay cache-resident,
-// large enough that the kernel amortises its loop overhead; throughput is
-// flat from ~512 to ~64k rows on the machines we measured, so the exact
-// value is not load-bearing.
-constexpr size_t kScoreTileRows = 2048;
-
-// Below this many queries the batch takes the scalar per-query scan: the
-// packed SGEMM's B-tile packing costs a corpus pass by itself, so at m=1-3
-// it LOSES to nq plain passes — measured ~4x worse at m=1. The GEMM only
-// pays off once its single corpus stream is amortised over enough queries.
-constexpr size_t kBatchGemmMinQueries = 4;
-
-}  // namespace
-
-void FlatIndex::SearchBatchInto(const float* queries, size_t nq, size_t k,
-                                const AnnSearchParams& params,
-                                std::vector<Neighbor>* outs) const {
-  for (size_t q = 0; q < nq; ++q) outs[q].clear();
-  const size_t n = size();
-  if (n == 0 || k == 0 || nq == 0) return;
-  DJ_TRACE_SPAN("flat.search_batch");
-  trace::Count("flat.dist_evals", n * nq);
-  const size_t d = static_cast<size_t>(dim());
-  const bool refine =
-      params.refine_factor > 0 && refine_ != nullptr &&
-      store_->kind() != StorageKind::kFloat;
-  const size_t fetch =
-      refine ? k * static_cast<size_t>(params.refine_factor) : k;
-  // Lazily-validated (mapped) stores check every touched page once up
-  // front; the per-row fast paths below then read raw pointers.
-  store_->TouchRows(0, n);
-  const float* base = store_->float_base();
-  const float* norms = store_->norms_base();
-  if (nq < kBatchGemmMinQueries || base == nullptr || norms == nullptr) {
-    // Row-major order: each corpus row is loaded once and scored against
-    // every query while it sits in L1, so a burst of 2-3 queries costs one
-    // bandwidth-bound corpus pass, not nq serial passes — this is what
-    // keeps the serving layer's low-rate tail near the single-query floor.
-    // Non-float representations (SQ8) score through the store's fused
-    // kernel; the codes row equally stays cache-resident across queries.
-    std::vector<TopK> tops;
-    tops.reserve(nq);
-    for (size_t q = 0; q < nq; ++q) tops.emplace_back(fetch);
-    for (size_t i = 0; i < n; ++i) {
-      if (IsDeleted(static_cast<u32>(i))) continue;  // tombstoned
-      const float* const row = base != nullptr ? base + i * d : nullptr;
-      for (size_t q = 0; q < nq; ++q) {
-        const float dist =
-            row != nullptr
-                ? kern::SquaredL2(queries + q * d, row, dim())
-                : store_->Distance(queries + q * d, static_cast<u32>(i));
-        tops[q].Push(-static_cast<double>(dist), static_cast<u32>(i));
-      }
-    }
-    for (size_t q = 0; q < nq; ++q) {
-      for (const auto& s : tops[q].Take()) {
-        outs[q].push_back(Neighbor{static_cast<float>(-s.score), s.id});
-      }
-      if (refine) RefineResults(*refine_, queries + q * d, k, &outs[q]);
-    }
-    return;
-  }
-
-  // scores[q * tile_rows + j] = q_q · x_{c+j} for the current tile. The
-  // buffer is reused across calls; it only grows when a caller raises the
-  // batch size.
-  thread_local std::vector<float> scores;
-  if (scores.size() < nq * kScoreTileRows) {
-    scores.resize(nq * kScoreTileRows);  // dj_alloc: allow(alloc)
-  }
-  thread_local std::vector<float> qnorms;
-  if (qnorms.size() < nq) qnorms.resize(nq);  // dj_alloc: allow(alloc)
-  for (size_t q = 0; q < nq; ++q) {
-    qnorms[q] = kern::Dot(queries + q * d, queries + q * d,
-                          static_cast<int>(d));
-  }
-  std::vector<TopK> tops;
-  tops.reserve(nq);
-  for (size_t q = 0; q < nq; ++q) tops.emplace_back(fetch);
-  for (size_t c = 0; c < n; c += kScoreTileRows) {
-    const size_t rows = std::min(kScoreTileRows, n - c);
-    // SgemmNT accumulates (C += A @ B^T); the tile buffer is reused across
-    // tiles and calls, so it must be zeroed first.
-    std::fill(scores.begin(), scores.begin() + nq * kScoreTileRows, 0.0f);
-    // C (nq x rows) = Q (nq x d) * X_tile^T (d x rows).
-    kern::SgemmNT(static_cast<int>(nq), static_cast<int>(rows),
-                  static_cast<int>(d), queries, static_cast<int>(d),
-                  base + c * d, static_cast<int>(d), scores.data(),
-                  static_cast<int>(kScoreTileRows));
-    for (size_t q = 0; q < nq; ++q) {
-      const float* row = scores.data() + q * kScoreTileRows;
-      const float qnorm = qnorms[q];
-      for (size_t j = 0; j < rows; ++j) {
-        const u32 id = static_cast<u32>(c + j);
-        if (IsDeleted(id)) continue;  // tombstoned
-        const float dist = qnorm + norms[c + j] - 2.0f * row[j];
-        tops[q].Push(-static_cast<double>(dist), id);
-      }
-    }
-  }
-  for (size_t q = 0; q < nq; ++q) {
-    for (const auto& s : tops[q].Take()) {
-      outs[q].push_back(Neighbor{static_cast<float>(-s.score), s.id});
-    }
-    if (refine) RefineResults(*refine_, queries + q * d, k, &outs[q]);
-  }
 }
 
 // ---- Persistence (the payload behind index_io's DJIX header) ----
@@ -336,12 +223,31 @@ Result<std::unique_ptr<FlatIndex>> FlatIndex::LoadPayload(
 
 // ---- SharedScan: the cooperative tile-granular scan (DESIGN.md §13) ----
 
+namespace {
+
+// Corpus rows per SGEMM tile. Small enough that one tile of scores
+// (nq x kScoreTileRows floats) plus the tile's rows stay cache-resident,
+// large enough that the kernel amortises its loop overhead; throughput is
+// flat from ~512 to ~64k rows on the machines we measured, so the exact
+// value is not load-bearing.
+constexpr size_t kScoreTileRows = 2048;
+
+// Below this many riders a tile takes the scalar row-major pass, at or
+// above it the SGEMM: an input-size selection, not a knob. It is the
+// measured crossover of BM_FlatSearchBatch (100K x 64, 4-vCPU x86-64):
+// the scalar arm won through 4 riders, the GEMM from 6 on, and at 5 they
+// tied. A tie goes to the scalar arm, which is bit-identical to Search.
+constexpr size_t kBatchGemmMinQueries = 6;
+
+}  // namespace
+
 FlatIndex::SharedScan::SharedScan(const FlatIndex* index)
     : index_(index),
       rows_(index->size()),
       tiles_((rows_ + kScoreTileRows - 1) / kScoreTileRows) {}
 
-size_t FlatIndex::SharedScan::Board(const float* query, size_t k) {
+size_t FlatIndex::SharedScan::Board(const float* query, size_t k,
+                                    int refine_factor) {
   size_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -354,8 +260,10 @@ size_t FlatIndex::SharedScan::Board(const float* query, size_t k) {
   const size_t d = static_cast<size_t>(index_->dim());
   r.query.assign(query, query + d);
   r.qnorm = kern::Dot(query, query, index_->dim());
+  r.k = k;
+  r.refine = index_->Refines(refine_factor);
   if (k > 0) {
-    r.top.emplace(k);
+    r.top.emplace(r.refine ? k * static_cast<size_t>(refine_factor) : k);
   } else {
     r.top.reset();
   }
@@ -385,10 +293,10 @@ size_t FlatIndex::SharedScan::Step(std::vector<size_t>* done) {
     const float* base = index_->store_->float_base();
     const float* norms = index_->store_->norms_base();
     if (nq < kBatchGemmMinQueries || base == nullptr || norms == nullptr) {
-      // Row-major shared pass, same as the small-batch arm of
-      // SearchBatchInto: each tile row is loaded once and scored against
-      // the whole cohort (bit-identical to the single-query Search).
-      // Non-float stores (SQ8) go through the fused quantized kernel.
+      // Row-major shared pass: each tile row is loaded once and scored
+      // against the whole cohort while it sits in L1 (bit-identical to
+      // the single-query Search). Non-float stores (SQ8) go through the
+      // fused quantized kernel; the codes row equally stays cache-resident.
       for (size_t j = 0; j < rows; ++j) {
         const u32 id = static_cast<u32>(c + j);
         if (index_->IsDeleted(id)) continue;  // tombstoned
@@ -405,8 +313,9 @@ size_t FlatIndex::SharedScan::Step(std::vector<size_t>* done) {
       }
     } else {
       // Tiled-SGEMM arm: gather the cohort's queries into a contiguous
-      // matrix and recombine distances from the cached row norms, exactly
-      // like the batched scorer above.
+      // matrix, compute every query·row dot product of the tile in one
+      // SGEMM, and recombine distances from the cached row norms
+      // (||q-x||^2 = ||q||^2 - 2 q·x + ||x||^2).
       if (qmat_.size() < nq * d) qmat_.resize(nq * d);
       if (scores_.size() < nq * kScoreTileRows) {
         scores_.resize(nq * kScoreTileRows);
@@ -461,6 +370,7 @@ void FlatIndex::SharedScan::Harvest(size_t slot, std::vector<Neighbor>* out) {
       out->push_back(Neighbor{static_cast<float>(-s.score), s.id});
     }
     r.top.reset();
+    if (r.refine) RefineResults(*index_->refine_, r.query.data(), r.k, out);
   }
   free_.push_back(slot);
 }

@@ -111,21 +111,6 @@ class VectorIndex {
     *out = Search(query, k, params);
   }
 
-  /// Scores `nq` queries (row-major, nq x dim) in one call, writing each
-  /// query's k nearest into outs[q] (cleared first), nearest first. The
-  /// default loops SearchInto per query; FlatIndex overrides it with a
-  /// blocked-SGEMM scorer that streams the corpus once per *batch* instead
-  /// of once per query — the amortisation the serving layer's adaptive
-  /// batcher exists to exploit (DESIGN.md §13).
-  virtual void SearchBatchInto(const float* queries, size_t nq, size_t k,
-                               const AnnSearchParams& params,
-                               std::vector<Neighbor>* outs) const {
-    for (size_t q = 0; q < nq; ++q) {
-      SearchInto(queries + q * static_cast<size_t>(dim()), k, params,
-                 &outs[q]);
-    }
-  }
-
   virtual size_t size() const = 0;
   virtual int dim() const = 0;
 
@@ -174,14 +159,6 @@ class FlatIndex : public VectorIndex {
   size_t deleted_count() const override { return deleted_; }
   std::vector<Neighbor> Search(const float* query, size_t k,
                                const AnnSearchParams& params) const override;
-  /// Batched exact scan: one blocked SGEMM per corpus tile computes every
-  /// query·row dot product, distances recombine from cached row norms
-  /// (||q-x||^2 = ||q||^2 - 2 q·x + ||x||^2). Turns the memory-bound
-  /// per-query scan (one full corpus stream per query) into a
-  /// compute-bound pass (one corpus stream per batch).
-  void SearchBatchInto(const float* queries, size_t nq, size_t k,
-                       const AnnSearchParams& params,
-                       std::vector<Neighbor>* outs) const override;
   size_t size() const override { return store_->size(); }
   int dim() const override { return store_->dim(); }
   const char* name() const override { return "flat"; }
@@ -207,16 +184,16 @@ class FlatIndex : public VectorIndex {
     return base + static_cast<size_t>(id) * static_cast<size_t>(dim());
   }
 
-  /// Cooperative shared scan (DESIGN.md §13): the corpus is scored one
-  /// tile at a time around a circular cursor; a query boards between any
-  /// two tiles, rides exactly one wrap (every tile once), and completes.
-  /// An arrival therefore waits at most one tile (~sub-millisecond)
-  /// instead of a full in-flight corpus pass — this is what keeps the
-  /// serving layer's low-rate tail near the single-query floor — while
-  /// every rider on a tile shares its single corpus stream exactly like
-  /// SearchBatchInto (scalar row-major below the GEMM cutover, tiled
+  /// Cooperative shared scan (DESIGN.md §13), the flat index's only
+  /// multi-query scorer: the corpus is scored one tile at a time around a
+  /// circular cursor; a query boards between any two tiles, rides exactly
+  /// one wrap (every tile once), and completes. An arrival therefore
+  /// waits at most one tile (~sub-millisecond) instead of a full in-flight
+  /// corpus pass — this is what keeps the serving layer's low-rate tail
+  /// near the single-query floor — while every rider on a tile shares its
+  /// single corpus stream (scalar row-major below the GEMM cutover, tiled
   /// SGEMM at or above it). Results match Search(): every live row is
-  /// scored exactly once per rider.
+  /// scored exactly once per rider, and refine_factor reranks the same way.
   ///
   /// Single-owner (one dispatcher thread drives Board/Step/Harvest), and
   /// the same concurrency contract as Search: no concurrent structural
@@ -230,8 +207,11 @@ class FlatIndex : public VectorIndex {
 
     /// Boards one query (copied out) wanting `k` results; returns the
     /// rider's slot, valid until Harvest frees it. k == 0 or an empty
-    /// corpus completes with no hits on the next Step.
-    size_t Board(const float* query, size_t k);
+    /// corpus completes with no hits on the next Step. `refine_factor`
+    /// follows AnnSearchParams: on a quantized store with a refinement
+    /// store the rider keeps k*refine_factor candidates and Harvest
+    /// reranks them with exact distances, as Search does.
+    size_t Board(const float* query, size_t k, int refine_factor = 0);
 
     /// Scores the next tile for every active rider and appends the slots
     /// of riders that just completed their wrap to `*done` (not cleared).
@@ -252,6 +232,8 @@ class FlatIndex : public VectorIndex {
       std::vector<float> query;  ///< owned copy; capacity reused via slots
       float qnorm = 0.0f;        ///< ||q||^2 for the GEMM recombination
       std::optional<TopK> top;   ///< unset for k == 0 and after Harvest
+      size_t k = 0;              ///< results wanted
+      bool refine = false;       ///< rerank top's candidates at Harvest
       size_t tiles_left = 0;     ///< completes when this hits 0
     };
 
@@ -270,6 +252,13 @@ class FlatIndex : public VectorIndex {
   };
 
  private:
+  /// True when a search with this refine_factor over-fetches and reranks:
+  /// a quantized store that carries an exact refinement store.
+  bool Refines(int refine_factor) const {
+    return refine_factor > 0 && refine_ != nullptr &&
+           store_->kind() != StorageKind::kFloat;
+  }
+
   std::unique_ptr<VectorStore> store_;   // searched representation
   std::unique_ptr<VectorStore> refine_;  // exact floats for reranking
   std::vector<u8> tombstones_;           // 1 = removed from results

@@ -184,6 +184,21 @@ std::string EmbeddingSearcher::WalPath(u64 gen) const {
   return dir_ + "/wal-" + std::to_string(gen) + ".log";
 }
 
+template <typename ColumnAt>
+void EmbeddingSearcher::EncodeColumns(size_t n, const ColumnAt& column_at,
+                                      float* out, ThreadPool* pool) const {
+  // EncodeInto writes straight into the caller's rows — no per-column
+  // vector allocation.
+  const auto encode_one = [&](size_t i) {
+    encoder_->EncodeInto(column_at(i), out + i * static_cast<size_t>(dim_));
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(n, encode_one);
+  } else {
+    for (size_t i = 0; i < n; ++i) encode_one(i);
+  }
+}
+
 Status EmbeddingSearcher::BuildIndex(const lake::Repository& repo,
                                      ThreadPool* pool, BuildStats* stats) {
   if (config_.backend == AnnBackend::kIvfPq && repo.size() == 0) {
@@ -198,20 +213,12 @@ Status EmbeddingSearcher::BuildIndex(const lake::Repository& repo,
     std::vector<float> embeddings(repo.size() * static_cast<size_t>(dim_));
     {
       DJ_TRACE_SPAN("searcher.build_encode");
-      // EncodeInto writes straight into the flat buffer — no per-column
-      // vector allocation on the hot indexing path. No searcher lock is
-      // held here: ParallelFor takes the pool locks, and the writer lock
-      // must never be held across a pool wait.
-      auto encode_one = [&](size_t i) {
-        encoder_->EncodeInto(
-            repo.column(static_cast<u32>(i)),
-            embeddings.data() + i * static_cast<size_t>(dim_));
-      };
-      if (pool != nullptr && pool->num_threads() > 1) {
-        pool->ParallelFor(repo.size(), encode_one);
-      } else {
-        for (size_t i = 0; i < repo.size(); ++i) encode_one(i);
-      }
+      EncodeColumns(
+          repo.size(),
+          [&](size_t i) -> const lake::Column& {
+            return repo.column(static_cast<u32>(i));
+          },
+          embeddings.data(), pool);
     }
     {
       DJ_TRACE_SPAN("searcher.build_index");
@@ -1063,15 +1070,10 @@ std::vector<EmbeddingSearcher::SearchResult> EmbeddingSearcher::SearchBatch(
   // stage runs batched.
   std::vector<float> embeddings(queries.size() * static_cast<size_t>(dim_));
   WallTimer encode;
-  auto encode_one = [&](size_t i) {
-    encoder_->EncodeInto(queries[i],
-                         embeddings.data() + i * static_cast<size_t>(dim_));
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(queries.size(), encode_one);
-  } else {
-    for (size_t i = 0; i < queries.size(); ++i) encode_one(i);
-  }
+  EncodeColumns(
+      queries.size(),
+      [&](size_t i) -> const lake::Column& { return queries[i]; },
+      embeddings.data(), pool);
   const double encode_ms_per_query =
       encode.ElapsedMillis() / static_cast<double>(queries.size());
 
@@ -1110,43 +1112,6 @@ std::vector<EmbeddingSearcher::SearchResult> EmbeddingSearcher::SearchBatch(
   return outputs;
 }
 
-void EmbeddingSearcher::SearchBatchInto(const lake::Column* const* queries,
-                                        size_t n, const SearchOptions& options,
-                                        ThreadPool* pool, BatchScratch* scratch,
-                                        SearchResult* const* outs) {
-  if (n == 0) return;
-  const auto snap = PinSnapshot();
-  DJ_CHECK_MSG(
-      snap != nullptr,
-      "EmbeddingSearcher::SearchBatchInto() before BuildIndex()/AddColumn()");
-  // Encode the whole batch into the caller's scratch (capacity-reusing).
-  if (scratch->embeddings.size() < n * static_cast<size_t>(dim_)) {
-    scratch->embeddings.resize(n * static_cast<size_t>(dim_));
-  }
-  auto encode_one = [&](size_t i) {
-    encoder_->EncodeInto(*queries[i], scratch->embeddings.data() +
-                                          i * static_cast<size_t>(dim_));
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(n, encode_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) encode_one(i);
-  }
-  // One index call for the whole batch — the flat backend streams the
-  // corpus once per batch here instead of once per query.
-  if (scratch->hits.size() < n) scratch->hits.resize(n);
-  snap->index->SearchBatchInto(scratch->embeddings.data(), n, options.k,
-                               AnnParamsFrom(options), scratch->hits.data());
-  const IdMap* map = snap->to_column.get();
-  for (size_t i = 0; i < n; ++i) {
-    outs[i]->ids.clear();
-    for (const auto& h : scratch->hits[i]) {
-      outs[i]->ids.push_back(map != nullptr ? map->At(h.id) : h.id);
-    }
-  }
-  SearchesCounter()->Add(n);
-}
-
 EmbeddingSearcher::StreamScan EmbeddingSearcher::NewStreamScan() const {
   StreamScan s;
   s.searcher_ = this;
@@ -1164,23 +1129,80 @@ bool EmbeddingSearcher::StreamScan::stale() const {
   return searcher_ != nullptr && searcher_->PinSnapshot() != snap_;
 }
 
+void EmbeddingSearcher::StreamScan::Board(Boarder* group, size_t n,
+                                          ThreadPool* pool) {
+  DJ_CHECK_MSG(valid(), "StreamScan::Board on an invalid session");
+  if (n == 0) return;
+  const size_t d = static_cast<size_t>(searcher_->dim_);
+  if (qbuf_.size() < n * d) qbuf_.resize(n * d);
+  searcher_->EncodeColumns(
+      n, [group](size_t i) -> const lake::Column& { return *group[i].query; },
+      qbuf_.data(), pool);
+  if (scan_ != nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      group[i].slot = scan_->Board(qbuf_.data() + i * d, group[i].options.k,
+                                   group[i].options.refine_factor);
+    }
+    return;
+  }
+  // Pinned here, not at session open: a session opened before a
+  // compaction must not serve a rider sent after a later remove from the
+  // old index, which never receives that tombstone.
+  const auto snap = searcher_->PinSnapshot();
+  const IdMap* const map = snap->to_column.get();
+  for (size_t i = 0; i < n; ++i) {
+    size_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = found_.size();
+      found_.emplace_back();
+    }
+    snap->index->SearchInto(qbuf_.data() + i * d, group[i].options.k,
+                            AnnParamsFrom(group[i].options), &hitbuf_);
+    std::vector<u32>& ids = found_[slot];
+    ids.clear();
+    for (const auto& h : hitbuf_) {
+      ids.push_back(map != nullptr ? map->At(h.id) : h.id);
+    }
+    pending_.push_back(slot);
+    group[i].slot = slot;
+  }
+}
+
 size_t EmbeddingSearcher::StreamScan::Board(const lake::Column& query,
                                             size_t k) {
-  DJ_CHECK_MSG(valid(), "StreamScan::Board on an invalid session");
-  const size_t d = static_cast<size_t>(searcher_->dim_);
-  if (qbuf_.size() < d) qbuf_.resize(d);
-  searcher_->encoder_->EncodeInto(query, qbuf_.data());
-  return scan_->Board(qbuf_.data(), k);
+  Boarder b{&query, SearchOptions{.k = k}};
+  Board(&b, 1, nullptr);
+  return b.slot;
+}
+
+size_t EmbeddingSearcher::StreamScan::Step(std::vector<size_t>* done) {
+  if (scan_ != nullptr) return scan_->Step(done);
+  const size_t finished = pending_.size();
+  done->insert(done->end(), pending_.begin(), pending_.end());
+  pending_.clear();
+  return finished;
 }
 
 void EmbeddingSearcher::StreamScan::Harvest(size_t slot, SearchResult* out) {
-  scan_->Harvest(slot, &hitbuf_);
-  const IdMap* const map = snap_->to_column.get();
   out->ids.clear();
-  for (const auto& h : hitbuf_) {
-    out->ids.push_back(map != nullptr ? map->At(h.id) : h.id);
+  if (scan_ != nullptr) {
+    scan_->Harvest(slot, &hitbuf_);
+    const IdMap* const map = snap_->to_column.get();
+    for (const auto& h : hitbuf_) {
+      out->ids.push_back(map != nullptr ? map->At(h.id) : h.id);
+    }
+  } else {
+    out->ids.assign(found_[slot].begin(), found_[slot].end());
+    free_.push_back(slot);
   }
   SearchesCounter()->Increment();
+}
+
+size_t EmbeddingSearcher::StreamScan::active() const {
+  return scan_ != nullptr ? scan_->active() : pending_.size();
 }
 
 size_t EmbeddingSearcher::index_size() const {

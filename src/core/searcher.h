@@ -296,66 +296,68 @@ class EmbeddingSearcher {
       const std::vector<lake::Column>& queries, const SearchOptions& options,
       ThreadPool* pool);
 
-  /// Reusable buffers for SearchBatchInto. All vectors grow to the working
-  /// size on the first batches and are reused afterwards; a long-lived
-  /// caller (the serving dispatcher) allocates nothing per batch.
-  struct BatchScratch {
-    std::vector<float> embeddings;               ///< nq x dim, row-major
-    std::vector<std::vector<ann::Neighbor>> hits;  ///< per-query results
-  };
-
-  /// Zero-copy batched search for the serving layer (DESIGN.md §13):
-  /// encodes the `n` query columns into `scratch`, runs ONE
-  /// VectorIndex::SearchBatchInto over the pinned snapshot (flat backend:
-  /// blocked-SGEMM scoring that streams the corpus once per batch), and
-  /// refills each outs[i]->ids in place. `pool` parallelises the encode
-  /// stage when given. Unlike SearchBatch, no per-query trace stats are
-  /// collected (outs[i]->stats is left untouched) — the serving layer
-  /// accounts latency through MetricsRegistry instead.
-  void SearchBatchInto(const lake::Column* const* queries, size_t n,
-                       const SearchOptions& options, ThreadPool* pool,
-                       BatchScratch* scratch, SearchResult* const* outs);
-
   /// Pins the current snapshot (tests, tools, and callers that need a
   /// stable view across several operations). nullptr before the first
   /// BuildIndex/AddColumn/OpenLive.
   std::shared_ptr<const IndexSnapshot> PinSnapshot() const;
 
-  /// Streaming shared-scan session for the serving layer (DESIGN.md §13;
-  /// flat backend only). Construction pins the current snapshot; queries
-  /// Board() between corpus tiles, ride one full wrap of
-  /// FlatIndex::SharedScan, and Harvest() maps hits to repository column
-  /// ids. Single-owner (one dispatcher thread drives it). Sessions are
-  /// cheap to open; callers drain and start a fresh one when stale()
-  /// reports the searcher has published a newer snapshot.
+  /// Streaming query session for the serving layer (DESIGN.md §13), any
+  /// backend. Construction pins the current snapshot; queries Board()
+  /// between Steps and Harvest() maps hits to repository column ids. On a
+  /// flat snapshot every rider rides one full wrap of
+  /// FlatIndex::SharedScan. On any other backend a rider is searched at
+  /// boarding (VectorIndex::SearchInto with its own options, against the
+  /// snapshot current at boarding, so it sees every remove acknowledged
+  /// before it boarded) and completes on the next Step. Single-owner (one
+  /// dispatcher thread drives it). Sessions are cheap to open; callers
+  /// drain and start a fresh one when stale() reports the searcher has
+  /// published a newer snapshot.
   class StreamScan {
    public:
-    /// False when no index exists yet or the pinned backend has no shared
-    /// scan (HNSW/IVFPQ) — callers fall back to SearchBatchInto.
-    bool valid() const { return scan_ != nullptr; }
+    /// One query of a boarding group: the column (caller-owned; read
+    /// during Board only), its per-query options, and the rider slot
+    /// Board assigns it.
+    struct Boarder {
+      const lake::Column* query = nullptr;
+      SearchOptions options;
+      size_t slot = 0;  ///< out: valid until Harvest frees it
+    };
+
+    /// False when no index existed when the session opened.
+    bool valid() const { return snap_ != nullptr; }
     /// True once the searcher published a snapshot other than the pinned
     /// one (compaction / rebuild): stop boarding, drain, reopen.
     bool stale() const;
-    /// Encodes `query` and boards it wanting `k` results; returns the
-    /// rider slot. Requires valid().
+    /// Encodes the `n` columns of `group` — in parallel on `pool` when
+    /// given — and boards each with its own options, filling
+    /// group[i].slot. Requires valid(). options.collect_stats is ignored.
+    void Board(Boarder* group, size_t n, ThreadPool* pool);
+    /// Boards one column wanting `k` results (the n = 1 group); returns
+    /// its rider slot.
     size_t Board(const lake::Column& query, size_t k);
-    /// Scores one tile; appends completed rider slots to `*done`.
-    size_t Step(std::vector<size_t>* done) {
-      return valid() ? scan_->Step(done) : 0;
-    }
+    /// Advances every rider by one step (a corpus tile on flat); appends
+    /// completed rider slots to `*done` and returns how many completed.
+    size_t Step(std::vector<size_t>* done);
     /// Fills out->ids (nearest first, repository column ids) for a done
     /// rider and recycles its slot. out->stats is left untouched.
     void Harvest(size_t slot, SearchResult* out);
-    size_t active() const { return valid() ? scan_->active() : 0; }
-    bool empty() const { return !valid() || scan_->empty(); }
+    /// Riders boarded and not yet reported done by Step.
+    size_t active() const;
+    bool empty() const { return active() == 0; }
 
    private:
     friend class EmbeddingSearcher;
     const EmbeddingSearcher* searcher_ = nullptr;
     std::shared_ptr<const IndexSnapshot> snap_;
-    std::unique_ptr<ann::FlatIndex::SharedScan> scan_;
-    std::vector<float> qbuf_;            // one encoded query
-    std::vector<ann::Neighbor> hitbuf_;  // Harvest staging
+    std::unique_ptr<ann::FlatIndex::SharedScan> scan_;  // flat snapshot
+    std::vector<float> qbuf_;            // encoded group, n x dim
+    std::vector<ann::Neighbor> hitbuf_;  // index hits staging
+    // Riders on other backends: slot -> column ids found at boarding
+    // (capacity reused across riders), recycled slots, and the slots
+    // that complete on the next Step.
+    std::vector<std::vector<u32>> found_;
+    std::vector<size_t> free_;
+    std::vector<size_t> pending_;
   };
 
   /// Opens a streaming scan session against the current snapshot.
@@ -398,6 +400,14 @@ class EmbeddingSearcher {
   };
 
   bool LiveLocked() const { return !dir_.empty(); }  // writer token
+
+  /// Encodes column_at(i) for i in [0, n) into row i of `out` (n x dim),
+  /// in parallel across columns on `pool` when it has several threads.
+  /// Holds no searcher lock: ParallelFor takes the pool locks, and the
+  /// writer lock must never be held across a pool wait.
+  template <typename ColumnAt>
+  void EncodeColumns(size_t n, const ColumnAt& column_at, float* out,
+                     ThreadPool* pool) const;
 
   /// Swaps the published snapshot (brief pointer-copy critical section).
   void Publish(std::shared_ptr<const IndexSnapshot> snap);

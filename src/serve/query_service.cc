@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/metrics.h"
-#include "util/timer.h"
 
 namespace deepjoin {
 namespace serve {
@@ -76,11 +75,6 @@ metrics::Histogram* TotalHistogram() {
   return h;
 }
 
-bool SameExecOptions(const core::SearchOptions& a,
-                     const core::SearchOptions& b) {
-  return a.k == b.k && a.ef_search == b.ef_search && a.nprobe == b.nprobe;
-}
-
 /// Completion event for the blocking Query() wrapper. One per client
 /// thread (a thread has at most one blocking query in flight), reused
 /// across calls.
@@ -105,8 +99,7 @@ QueryService::QueryService(core::EmbeddingSearcher* searcher,
   // Dispatch arrays sized once here; the dispatcher never allocates.
   batch_.resize(config_.batcher.max_batch);
   expired_.resize(config_.batcher.max_queue);
-  query_ptrs_.resize(config_.batcher.max_batch);
-  out_ptrs_.resize(config_.batcher.max_batch);
+  group_.resize(config_.batcher.max_batch);
   rider_meta_.resize(config_.batcher.max_batch);
   done_.reserve(config_.batcher.max_batch);
 }
@@ -203,15 +196,18 @@ void QueryService::DispatcherLoop() {
       if (num_expired == 0) break;  // stopped and fully drained
       continue;
     }
-    // Flat backends execute through the cooperative shared scan (arrivals
-    // board between corpus tiles); everything else runs the collected
-    // batch whole.
     core::EmbeddingSearcher::StreamScan scan = searcher_->NewStreamScan();
-    if (scan.valid()) {
-      RunStreamScan(&scan, batch_.data(), n);
-    } else {
-      ExecuteBatch(batch_.data(), n);
+    if (!scan.valid()) {
+      const auto now = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < n; ++i) {
+        Request* const r = batch_[i];
+        r->queue_ms = Ms(now - r->admit_time);
+        Complete(r, Status::FailedPrecondition(
+                        "query before the searcher has an index"));
+      }
+      continue;
     }
+    RunStreamScan(&scan, batch_.data(), n);
   }
 }
 
@@ -221,26 +217,29 @@ size_t QueryService::BoardGroup(core::EmbeddingSearcher::StreamScan* scan,
   size_t boarded = 0;
   for (size_t i = 0; i < n; ++i) {
     Request* const r = batch[i];
+    r->queue_ms = Ms(now - r->admit_time);
     // Batched-stage expiry: the deadline passed between collection and
     // boarding — short-circuit before the encode stage.
     if (r->deadline.expired(now)) {
-      r->queue_ms = Ms(now - r->admit_time);
       Complete(r,
                Status::DeadlineExceeded("deadline expired before execution"));
       continue;
     }
-    r->queue_ms = Ms(now - r->admit_time);
-    const size_t slot = scan->Board(*r->query, r->options.k);
-    if (slot >= rider_meta_.size()) rider_meta_.resize(slot + 1);
-    rider_meta_[slot] = RiderMeta{r, now};
+    batch[boarded] = r;
+    group_[boarded] = {r->query, r->options};
     ++boarded;
   }
-  if (boarded > 0) {
-    // Each boarding group is one "batch" in SLO terms: the cohort whose
-    // corpus stream is shared.
-    BatchesCounter()->Increment();
-    BatchSizeHistogram()->Record(static_cast<double>(boarded));
+  if (boarded == 0) return 0;
+  scan->Board(group_.data(), boarded, config_.encode_pool);
+  for (size_t i = 0; i < boarded; ++i) {
+    const size_t slot = group_[i].slot;
+    if (slot >= rider_meta_.size()) rider_meta_.resize(slot + 1);
+    rider_meta_[slot] = RiderMeta{batch[i], now};
   }
+  // Each boarding group is one "batch" in SLO terms: the cohort encoded
+  // together (and, on flat, sharing its corpus stream).
+  BatchesCounter()->Increment();
+  BatchSizeHistogram()->Record(static_cast<double>(boarded));
   return boarded;
 }
 
@@ -286,59 +285,6 @@ void QueryService::RunStreamScan(core::EmbeddingSearcher::StreamScan* scan,
       }
       if (m > 0) BoardGroup(scan, batch_.data(), m);
     }
-  }
-}
-
-void QueryService::ExecuteBatch(Request** batch, size_t n) {
-  const auto collected = std::chrono::steady_clock::now();
-  size_t i = 0;
-  while (i < n) {
-    Request* const r0 = batch[i];
-    // Batched-stage expiry: the deadline passed between collection and
-    // execution — short-circuit before the encode stage.
-    if (r0->deadline.expired(collected)) {
-      r0->queue_ms = Ms(collected - r0->admit_time);
-      Complete(r0,
-               Status::DeadlineExceeded("deadline expired before execution"));
-      ++i;
-      continue;
-    }
-    // Maximal run of batch-compatible requests (same k/ef/nprobe) —
-    // FIFO order is preserved across runs.
-    size_t j = i + 1;
-    while (j < n && !batch[j]->deadline.expired(collected) &&
-           SameExecOptions(batch[j]->options, r0->options)) {
-      ++j;
-    }
-    const size_t run = j - i;
-    for (size_t t = 0; t < run; ++t) {
-      Request* const r = batch[i + t];
-      r->queue_ms = Ms(collected - r->admit_time);
-      query_ptrs_[t] = r->query;
-      out_ptrs_[t] = &r->result;
-    }
-    WallTimer timer;
-    searcher_->SearchBatchInto(query_ptrs_.data(), run, r0->options,
-                               config_.encode_pool, &scratch_,
-                               out_ptrs_.data());
-    const double exec_ms = timer.ElapsedMillis();
-    BatchesCounter()->Increment();
-    BatchSizeHistogram()->Record(static_cast<double>(run));
-    const auto finished = std::chrono::steady_clock::now();
-    for (size_t t = 0; t < run; ++t) {
-      Request* const r = batch[i + t];
-      r->exec_ms = exec_ms;
-      if (r->deadline.expired(finished)) {
-        // Executed, but too late to count: the caller gets
-        // DeadlineExceeded, and SLO accounting files it as expired, not
-        // goodput.
-        Complete(r, Status::DeadlineExceeded(
-                        "deadline expired during execution"));
-      } else {
-        Complete(r, Status::OK());
-      }
-    }
-    i = j;
   }
 }
 

@@ -1,25 +1,26 @@
 // Concurrent query-serving layer (DESIGN.md §13): admission control with
 // bounded-queue backpressure, an adaptive batcher that coalesces waiting
-// queries into single SearchBatchInto calls, per-request deadlines
-// enforced at every stage, and SLO accounting through MetricsRegistry
-// (dj_serve_* counters and latency histograms, exported by the existing
-// JSON/Prometheus snapshot path).
+// queries into boarding groups, per-request deadlines enforced at every
+// stage, and SLO accounting through MetricsRegistry (dj_serve_* counters
+// and latency histograms, exported by the existing JSON/Prometheus
+// snapshot path).
 //
 // Shape: clients Submit() caller-owned Request nodes (or use the blocking
 // Query() wrapper); one dispatcher thread loops CollectBatch -> deadline
-// re-check -> execution -> completions. The steady-state dispatch path
-// allocates nothing: requests thread through intrusive queues, batches
-// land in preallocated arrays, and the searcher scratch reuses capacity
-// across batches.
+// re-check -> streaming execution -> completions. The steady-state
+// dispatch path allocates nothing: requests thread through intrusive
+// queues, groups land in preallocated arrays, and rider slots reuse their
+// buffers across queries.
 //
-// Execution takes one of two shapes. On a flat backend the dispatcher
-// drives a cooperative shared scan (EmbeddingSearcher::StreamScan): the
-// corpus is scored one tile at a time, completed riders are harvested and
-// new arrivals board between tiles — so at low offered rates a query never
-// waits out a full in-flight corpus pass (the "don't tax the idle case"
-// half of the BENCH_serve acceptance bar), while at load every rider on a
-// tile shares its corpus stream exactly like the batched scorer. Other
-// backends execute collected batches whole through SearchBatchInto.
+// Execution is one loop for every backend: the dispatcher drives an
+// EmbeddingSearcher::StreamScan session. Each boarding group is encoded
+// together (on encode_pool when given) and every request rides with its
+// own SearchOptions. On a flat backend riders share a cooperative scan:
+// the corpus is scored one tile at a time, completed riders are harvested
+// and new arrivals board between tiles — so at low offered rates a query
+// never waits out a full in-flight corpus pass, while at load every rider
+// on a tile shares its corpus stream. On other backends a rider is
+// searched when it boards and completes on the next step.
 #ifndef DEEPJOIN_SERVE_QUERY_SERVICE_H_
 #define DEEPJOIN_SERVE_QUERY_SERVICE_H_
 
@@ -45,8 +46,9 @@ struct QueryServiceConfig {
 
 class QueryService {
  public:
-  /// `searcher` must have an index (BuildIndex/AddColumn/OpenLive) before
-  /// the first query executes, and must outlive the service.
+  /// `searcher` must outlive the service. Requests that execute before it
+  /// has an index (BuildIndex/AddColumn/OpenLive) complete with
+  /// FailedPrecondition.
   QueryService(core::EmbeddingSearcher* searcher,
                const QueryServiceConfig& config);
   /// Stops and drains if still running.
@@ -88,15 +90,16 @@ class QueryService {
 
  private:
   void DispatcherLoop();
-  void ExecuteBatch(Request** batch, size_t n);
-  /// Streaming execution (flat backend): boards `batch`, then loops
-  /// Step -> harvest completions -> board new arrivals until the scan
-  /// drains. Returns when empty (or when the session goes stale and has
-  /// drained — the caller reopens against the fresh snapshot).
+  /// Streaming execution: boards `batch`, then loops Step -> harvest
+  /// completions -> board new arrivals until the session drains. Returns
+  /// when empty (or when the session goes stale and has drained — the
+  /// caller reopens against the fresh snapshot).
   void RunStreamScan(core::EmbeddingSearcher::StreamScan* scan,
                      Request** batch, size_t n);
-  /// Boards up to `n` requests onto the scan (deadline-gated: expired
-  /// requests complete without touching encode). Returns boarded count.
+  /// Boards up to `n` requests onto the session as one group, encoded on
+  /// config_.encode_pool (deadline-gated: expired requests complete
+  /// without touching encode; `batch` is compacted in place to the
+  /// boarded requests). Returns boarded count.
   size_t BoardGroup(core::EmbeddingSearcher::StreamScan* scan,
                     Request** batch, size_t n);
   /// Sets status/metrics and fires `done`. `code` selects the SLO bucket.
@@ -115,11 +118,10 @@ class QueryService {
   // ---- dispatcher-thread state (preallocated; no per-batch allocation) ----
   std::vector<Request*> batch_;
   std::vector<Request*> expired_;
-  std::vector<const lake::Column*> query_ptrs_;
-  std::vector<core::EmbeddingSearcher::SearchResult*> out_ptrs_;
-  core::EmbeddingSearcher::BatchScratch scratch_;
-  // Streaming-path state: rider slot -> its request and boarding time
-  // (slots are bounded by max_batch — boarding stops at capacity).
+  /// The boarding group handed to StreamScan::Board.
+  std::vector<core::EmbeddingSearcher::StreamScan::Boarder> group_;
+  // Rider slot -> its request and boarding time (slots are bounded by
+  // max_batch — boarding stops at capacity).
   struct RiderMeta {
     Request* req = nullptr;
     std::chrono::steady_clock::time_point boarded{};

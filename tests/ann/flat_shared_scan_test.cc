@@ -1,7 +1,8 @@
 // FlatIndex::SharedScan tests (DESIGN.md §13): the cooperative
 // tile-granular scan must return exactly what Search() returns for every
 // rider — including riders that board mid-scan and ride the wrap-around —
-// on both the scalar (small cohort) and tiled-SGEMM (large cohort) arms.
+// on both the scalar (small cohort) and tiled-SGEMM (large cohort) arms,
+// and with refine_factor reranking on a quantized store.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,14 +23,20 @@ class FlatSharedScanTest : public ::testing::Test {
   void SetUp() override {
     Rng rng(42);
     index_ = std::make_unique<FlatIndex>(kDim);
-    std::vector<float> data(kRows * kDim);
-    for (auto& x : data) x = static_cast<float>(rng.Normal());
-    index_->AddBatch(data.data(), kRows);
+    data_.resize(kRows * kDim);
+    for (auto& x : data_) x = static_cast<float>(rng.Normal());
+    index_->AddBatch(data_.data(), kRows);
     queries_.resize(16 * kDim);
     for (auto& x : queries_) x = static_cast<float>(rng.Normal());
   }
 
   const float* query(size_t i) const { return queries_.data() + i * kDim; }
+
+  static std::vector<u32> Ids(const std::vector<Neighbor>& hits) {
+    std::vector<u32> ids;
+    for (const auto& h : hits) ids.push_back(h.id);
+    return ids;
+  }
 
   /// Runs the scan to empty, harvesting every completion into hits[slot].
   void Drain(FlatIndex::SharedScan* scan,
@@ -48,6 +55,7 @@ class FlatSharedScanTest : public ::testing::Test {
   }
 
   std::unique_ptr<FlatIndex> index_;
+  std::vector<float> data_;
   std::vector<float> queries_;
 };
 
@@ -88,26 +96,61 @@ TEST_F(FlatSharedScanTest, MidScanBoardingRidesTheWrapAround) {
   }
 }
 
-TEST_F(FlatSharedScanTest, GemmCohortMatchesBatchedScorer) {
-  // 8 riders boarded together take the tiled-SGEMM arm — identical
-  // arithmetic (same kernel, same tiling, same norm recombination) to
-  // SearchBatchInto, so results must match it exactly.
+TEST_F(FlatSharedScanTest, GemmCohortMatchesSearch) {
+  // 8 riders boarded together take the tiled-SGEMM arm, which recombines
+  // distances from row norms; Search sums squared differences. The
+  // reduction orders differ, so distances match under a tolerance.
   constexpr size_t kNq = 8;
-  std::vector<std::vector<Neighbor>> expect(kNq);
-  index_->SearchBatchInto(queries_.data(), kNq, 5, AnnSearchParams{},
-                          expect.data());
   FlatIndex::SharedScan scan(index_.get());
   std::vector<size_t> slots;
   for (size_t q = 0; q < kNq; ++q) slots.push_back(scan.Board(query(q), 5));
   std::vector<std::vector<Neighbor>> hits;
   Drain(&scan, &hits);
   for (size_t q = 0; q < kNq; ++q) {
-    ASSERT_EQ(hits[slots[q]].size(), expect[q].size());
-    for (size_t i = 0; i < expect[q].size(); ++i) {
-      EXPECT_EQ(hits[slots[q]][i].id, expect[q][i].id) << "query " << q;
-      EXPECT_EQ(hits[slots[q]][i].dist, expect[q][i].dist);
+    const auto expect = index_->Search(query(q), 5);
+    ASSERT_EQ(hits[slots[q]].size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_NEAR(hits[slots[q]][i].dist, expect[i].dist, 1e-3f)
+          << "query " << q << " rank " << i;
     }
   }
+}
+
+TEST_F(FlatSharedScanTest, RefineRidersMatchSearch) {
+  // SQ8 rows plus a float refinement store. Riders boarded with
+  // refine_factor 4 over-fetch 4k quantized candidates and rerank them
+  // exactly, like Search with the same option. An SQ8 store always takes
+  // the store-distance arm, so the comparison is exact.
+  auto codes = std::make_unique<Sq8Store>(kDim);
+  ASSERT_TRUE(codes->AppendRows(data_.data(), kRows).ok());
+  auto exact = std::make_unique<FloatStore>(kDim);
+  ASSERT_TRUE(exact->AppendRows(data_.data(), kRows).ok());
+  FlatIndex sq8(std::move(codes), std::move(exact),
+                std::vector<u8>(kRows, 0), 0);
+  AnnSearchParams refine;
+  refine.refine_factor = 4;
+  FlatIndex::SharedScan scan(&sq8);
+  std::vector<size_t> slots;
+  for (size_t q = 0; q < 8; ++q) {
+    slots.push_back(scan.Board(query(q), 5, q % 2 == 0 ? 4 : 0));
+  }
+  std::vector<std::vector<Neighbor>> hits;
+  Drain(&scan, &hits);
+  size_t reranked = 0;
+  for (size_t q = 0; q < 8; ++q) {
+    const auto expect = q % 2 == 0 ? sq8.Search(query(q), 5, refine)
+                                   : sq8.Search(query(q), 5);
+    const auto& got = hits[slots[q]];
+    ASSERT_EQ(got.size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(got[i].id, expect[i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(got[i].dist, expect[i].dist);
+    }
+    if (q % 2 == 0 && Ids(got) != Ids(sq8.Search(query(q), 5))) ++reranked;
+  }
+  // The rerank must change some rider's ids, or the test proves nothing
+  // about refine_factor.
+  EXPECT_GT(reranked, 0u);
 }
 
 TEST_F(FlatSharedScanTest, MixedCohortSizesStayExact) {

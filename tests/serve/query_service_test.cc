@@ -1,7 +1,8 @@
-// End-to-end QueryService tests (DESIGN.md §13): batched results match the
-// single-query path, deadline expiry short-circuits before encode
-// (metrics-asserted), backpressure surfaces as ResourceExhausted, and the
-// SLO counters account for every submitted request.
+// End-to-end QueryService tests (DESIGN.md §13): served results match the
+// single-query path with each request's own options, deadline expiry
+// short-circuits before encode (metrics-asserted), backpressure surfaces
+// as ResourceExhausted, and the SLO counters account for every submitted
+// request.
 #include "serve/query_service.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,29 +90,73 @@ TEST_F(ServeQueryServiceTest, AsyncBatchCompletesEveryRequest) {
   }
 }
 
-TEST_F(ServeQueryServiceTest, MixedOptionsSplitIntoCompatibleRuns) {
-  QueryServiceConfig cfg;
-  cfg.batcher.max_batch = 8;
-  QueryService service(searcher_.get(), cfg);
-  // Submit-before-Start so the mixed batch is collected as one flush.
-  std::vector<Request> reqs(6);
-  std::atomic<int> completions{0};
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    reqs[i].query = &queries_[i % queries_.size()];
-    reqs[i].options = {.k = (i % 2 == 0) ? size_t{3} : size_t{7}};
-    reqs[i].ctx = &completions;
-    reqs[i].done = [](Request* r) {
-      static_cast<std::atomic<int>*>(r->ctx)->fetch_add(1);
-    };
-    ASSERT_TRUE(service.Submit(&reqs[i]).ok());
+// Every request rides with its own options. One batch mixing k,
+// ef_search and refine_factor over an SQ8 index with a float refinement
+// store serves each request exactly what a direct Search with the same
+// options returns, on the flat shared scan and on HNSW alike.
+TEST_F(ServeQueryServiceTest, MixedOptionsMatchDirectSearch) {
+  lake::LakeGenerator gen(lake::LakeConfig::Webtable(808));
+  const std::vector<lake::Column> queries = gen.GenerateQueries(32);
+  const std::string path = ::testing::TempDir() + "/serve_mixed_sq8.djx";
+  for (const auto backend :
+       {core::AnnBackend::kFlat, core::AnnBackend::kHnsw}) {
+    SCOPED_TRACE(backend == core::AnnBackend::kFlat ? "flat" : "hnsw");
+    core::SearcherConfig sc;
+    sc.backend = backend;
+    core::EmbeddingSearcher built(encoder_.get(), sc);
+    ASSERT_TRUE(built.BuildIndex(repo_).ok());
+    ann::SaveOptions save;
+    save.storage = ann::StorageKind::kSq8;
+    save.keep_float_refine = true;
+    ASSERT_TRUE(built.SaveIndex(path, nullptr, save).ok());
+    core::EmbeddingSearcher searcher(encoder_.get(), sc);
+    ASSERT_TRUE(searcher.LoadIndex(path).ok());
+
+    // Each query is sent four times in a row: k 3 then 7, each unrefined
+    // then with refine_factor 4; ef_search alternates between queries.
+    std::vector<Request> reqs(4 * queries.size());
+    QueryServiceConfig cfg;
+    cfg.batcher.max_batch = reqs.size();
+    QueryService service(&searcher, cfg);
+    // Submit-before-Start so the mixed batch is collected as one flush.
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      reqs[i].query = &queries[i / 4];
+      reqs[i].options = {.k = i % 4 < 2 ? size_t{3} : size_t{7},
+                         .ef_search = (i / 4) % 2 == 0 ? 0 : 24,
+                         .refine_factor = i % 2 == 0 ? 0 : 4};
+      reqs[i].done = [](Request*) {};
+      ASSERT_TRUE(service.Submit(&reqs[i]).ok());
+    }
+    service.Start();
+    service.Stop();
+    size_t reranked = 0;
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      ASSERT_TRUE(reqs[i].status.ok()) << reqs[i].status.ToString();
+      const auto direct = searcher.Search(*reqs[i].query, reqs[i].options);
+      EXPECT_EQ(reqs[i].result.ids, direct.ids)
+          << "request " << i << " (k " << reqs[i].options.k << ", ef "
+          << reqs[i].options.ef_search << ", refine "
+          << reqs[i].options.refine_factor << ")";
+      if (i % 2 == 1 && direct.ids != reqs[i - 1].result.ids) ++reranked;
+    }
+    // Refinement must change some results, or the batch proves nothing
+    // about serving refine_factor.
+    EXPECT_GT(reranked, 0u);
   }
+}
+
+// Before any index exists a query completes with FailedPrecondition
+// instead of aborting the dispatcher.
+TEST_F(ServeQueryServiceTest, QueryBeforeAnyIndexFailsPrecondition) {
+  core::EmbeddingSearcher empty(encoder_.get(), core::SearcherConfig{});
+  QueryService service(&empty, QueryServiceConfig{});
   service.Start();
+  core::EmbeddingSearcher::SearchResult out;
+  EXPECT_EQ(
+      service.Query(queries_[0], {.k = 5}, Deadline::Infinite(), &out).code(),
+      StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(out.ids.empty());
   service.Stop();
-  EXPECT_EQ(completions.load(), 6);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    ASSERT_TRUE(reqs[i].status.ok());
-    EXPECT_EQ(reqs[i].result.ids.size(), reqs[i].options.k);
-  }
 }
 
 // The acceptance-criteria test: a request whose deadline expires in the
@@ -207,8 +253,7 @@ TEST_F(ServeQueryServiceTest, SloCountersBalance) {
   EXPECT_GE(CounterValue("dj_serve_batches_total") - batches0, 1u);
 }
 
-// The searcher-level streaming session behind the dispatcher's flat-path
-// execution: encodes on Board, maps index ids to repository column ids on
+// The searcher-level streaming session behind the dispatcher, on flat: encodes on Board, maps index ids to repository column ids on
 // Harvest, and reports staleness once the searcher publishes a new
 // snapshot (the dispatcher's cue to drain and reopen).
 TEST_F(ServeQueryServiceTest, StreamScanSessionMatchesSearchAndGoesStale) {
@@ -233,15 +278,34 @@ TEST_F(ServeQueryServiceTest, StreamScanSessionMatchesSearchAndGoesStale) {
   EXPECT_TRUE(scan.stale());
 }
 
-TEST_F(ServeQueryServiceTest, StreamScanInvalidOffFlatBackend) {
+// Off the flat backend the session is valid once an index exists, and
+// each rider is searched with its own k: Board/Step/Harvest returns what
+// SearchInto returns for the same query.
+TEST_F(ServeQueryServiceTest, StreamScanNeedsAnIndexAndServesHnsw) {
   core::SearcherConfig sc;
   sc.backend = core::AnnBackend::kHnsw;
   core::EmbeddingSearcher hnsw(encoder_.get(), sc);
   // No index yet: invalid rather than aborting.
   EXPECT_FALSE(hnsw.NewStreamScan().valid());
   ASSERT_TRUE(hnsw.BuildIndex(repo_).ok());
-  // HNSW has no shared scan — the dispatcher falls back to ExecuteBatch.
-  EXPECT_FALSE(hnsw.NewStreamScan().valid());
+  auto scan = hnsw.NewStreamScan();
+  ASSERT_TRUE(scan.valid());
+  std::vector<size_t> slots;
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    slots.push_back(scan.Board(queries_[i], i + 1));
+  }
+  EXPECT_EQ(scan.active(), queries_.size());
+  std::vector<size_t> done;
+  EXPECT_EQ(scan.Step(&done), queries_.size());
+  EXPECT_TRUE(scan.empty());
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    core::EmbeddingSearcher::SearchResult served, direct;
+    scan.Harvest(slots[i], &served);
+    hnsw.SearchInto(queries_[i], {.k = i + 1, .collect_stats = false},
+                    &direct);
+    EXPECT_EQ(served.ids.size(), i + 1);
+    EXPECT_EQ(served.ids, direct.ids) << "rider " << i;
+  }
 }
 
 }  // namespace
