@@ -191,6 +191,24 @@ void BM_FastTextCellEmbed(benchmark::State& state) {
 }
 BENCHMARK(BM_FastTextCellEmbed);
 
+// Synonym training as the offline setup runs it: the bench corpus's
+// lexicon, dim 64 (the PLM encoder's token-embedding width), strength 0.8,
+// 2 epochs, on a fresh embedder per iteration (the table fill is untimed).
+void BM_TrainSynonyms(benchmark::State& state) {
+  const auto lexicon = SharedEnv().generator().SynonymLexicon();
+  FastTextConfig fc;
+  fc.dim = 64;
+  for (auto _ : state) {
+    state.PauseTiming();
+    FastTextEmbedder ft(fc);
+    state.ResumeTiming();
+    ft.TrainSynonyms(lexicon, 0.8, 2);
+    benchmark::DoNotOptimize(&ft);
+  }
+  state.counters["groups"] = static_cast<double>(lexicon.size());
+}
+BENCHMARK(BM_TrainSynonyms)->Unit(benchmark::kMillisecond);
+
 void BM_TransformColumn(benchmark::State& state) {
   auto& env = SharedEnv();
   core::TransformConfig tc;
@@ -446,6 +464,31 @@ void BM_SearcherSteadyStateQuery(benchmark::State& state) {
   ReportAllocsPerOp(state, tally);
 }
 BENCHMARK(BM_SearcherSteadyStateQuery);
+
+// Offline build of the paper-default index: MPNetSim encode of 3K columns
+// on a 3-thread pool plus HNSW (M 16, ef_construction 120) insertion,
+// which overlaps the encode (EmbeddingSearcher::BuildIndex). Wall time.
+void BM_BuildIndex(benchmark::State& state) {
+  static const lake::Repository* repo = [] {
+    lake::LakeGenerator gen(lake::LakeConfig::Webtable(1));
+    return std::make_unique<lake::Repository>(gen.GenerateRepository(3000))
+        .release();
+  }();
+  core::SearcherConfig sc;
+  sc.backend = core::AnnBackend::kHnsw;
+  sc.hnsw_M = 16;
+  sc.hnsw_ef_construction = 120;
+  ThreadPool pool(3);
+  for (auto _ : state) {
+    core::EmbeddingSearcher searcher(&SharedMpnetEncoder(), sc);
+    DJ_CHECK(searcher.BuildIndex(*repo, &pool).ok());
+    benchmark::DoNotOptimize(searcher.index_size());
+  }
+  state.counters["cols_per_s"] = benchmark::Counter(
+      static_cast<double>(repo->size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_BuildIndex)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Batched flat scan — the serving layer's flat execution path (DESIGN.md
 // §13). Arg (the batch size) riders board one FlatIndex::SharedScan

@@ -185,15 +185,16 @@ std::string EmbeddingSearcher::WalPath(u64 gen) const {
 }
 
 template <typename ColumnAt>
-void EmbeddingSearcher::EncodeColumns(size_t n, const ColumnAt& column_at,
-                                      float* out, ThreadPool* pool) const {
+void EmbeddingSearcher::EncodeColumns(
+    size_t n, const ColumnAt& column_at, float* out, ThreadPool* pool,
+    const std::function<void(size_t, size_t)>& on_chunk) const {
   // EncodeInto writes straight into the caller's rows — no per-column
   // vector allocation.
   const auto encode_one = [&](size_t i) {
     encoder_->EncodeInto(column_at(i), out + i * static_cast<size_t>(dim_));
   };
   if (pool != nullptr) {
-    pool->ParallelFor(n, encode_one);
+    pool->ParallelFor(n, encode_one, on_chunk);
   } else {
     for (size_t i = 0; i < n; ++i) encode_one(i);
   }
@@ -210,41 +211,60 @@ Status EmbeddingSearcher::BuildIndex(const lake::Repository& repo,
   std::shared_ptr<ann::VectorIndex> index;
   {
     DJ_TRACE_SPAN("searcher.build");
-    std::vector<float> embeddings(repo.size() * static_cast<size_t>(dim_));
+    const size_t n = repo.size();
+    const size_t dim = static_cast<size_t>(dim_);
+    std::vector<float> embeddings(n * dim);
+    // Flat (float rows) and HNSW take rows one at a time, so with a pool
+    // each finished chunk is inserted while later chunks encode. Rows still
+    // go in as 0..n-1, so the index equals an encode-then-add build. IVFPQ
+    // and an SQ8 flat store train on the whole batch before adding any.
+    switch (config_.backend) {
+      case AnnBackend::kFlat:
+        index = std::make_shared<ann::FlatIndex>(dim_, config_.flat_storage);
+        break;
+      case AnnBackend::kHnsw:
+        index = std::make_shared<ann::HnswIndex>(
+            MakeHnswConfig(config_, dim_, n));
+        break;
+      case AnnBackend::kIvfPq:
+        break;
+    }
+    const bool streams =
+        pool != nullptr &&
+        (config_.backend == AnnBackend::kHnsw ||
+         (config_.backend == AnnBackend::kFlat &&
+          config_.flat_storage == ann::StorageKind::kFloat));
+    size_t added = 0;  // rows [0, added) are in the index
     {
       DJ_TRACE_SPAN("searcher.build_encode");
+      std::function<void(size_t, size_t)> insert;
+      if (streams) {
+        insert = [&](size_t lo, size_t hi) {
+          index->AddBatch(embeddings.data() + lo * dim, hi - lo);
+          added = hi;
+        };
+      }
       EncodeColumns(
-          repo.size(),
+          n,
           [&](size_t i) -> const lake::Column& {
             return repo.column(static_cast<u32>(i));
           },
-          embeddings.data(), pool);
+          embeddings.data(), pool, insert);
     }
     {
       DJ_TRACE_SPAN("searcher.build_index");
-      switch (config_.backend) {
-        case AnnBackend::kFlat:
-          index = std::make_shared<ann::FlatIndex>(dim_,
-                                                   config_.flat_storage);
-          break;
-        case AnnBackend::kHnsw:
-          index = std::make_shared<ann::HnswIndex>(
-              MakeHnswConfig(config_, dim_, repo.size()));
-          break;
-        case AnnBackend::kIvfPq: {
-          ann::IvfPqConfig ic;
-          ic.dim = dim_;
-          ic.nlist = config_.ivfpq_nlist;
-          ic.m = config_.ivfpq_m;
-          ic.nbits = config_.ivfpq_nbits;
-          ic.nprobe = config_.ivfpq_nprobe;
-          auto idx = std::make_shared<ann::IvfPqIndex>(ic);
-          idx->Train(embeddings.data(), repo.size());
-          index = std::move(idx);
-          break;
-        }
+      if (config_.backend == AnnBackend::kIvfPq) {
+        ann::IvfPqConfig ic;
+        ic.dim = dim_;
+        ic.nlist = config_.ivfpq_nlist;
+        ic.m = config_.ivfpq_m;
+        ic.nbits = config_.ivfpq_nbits;
+        ic.nprobe = config_.ivfpq_nprobe;
+        auto idx = std::make_shared<ann::IvfPqIndex>(ic);
+        idx->Train(embeddings.data(), n);
+        index = std::move(idx);
       }
-      index->AddBatch(embeddings.data(), repo.size());
+      index->AddBatch(embeddings.data() + added * dim, n - added);
     }
   }
   Status publish_st = Status::OK();

@@ -20,6 +20,7 @@
 #define DEEPJOIN_CORE_SEARCHER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -103,7 +104,13 @@ struct SearchOptions {
   bool collect_stats = true;
 };
 
-/// Offline build cost breakdown (out-param of BuildIndex).
+/// Offline build cost breakdown (out-param of BuildIndex). The span tree
+/// holds `searcher.build` (the whole build) with two children:
+///  - `searcher.build_encode`: the encode of every column, including the
+///    flat/HNSW inserts that overlap it on a pool;
+///  - `searcher.build_index`: the index work left after the encode (IVFPQ
+///    training, and every insert when nothing overlapped).
+/// The children sum to no more than `searcher.build`.
 struct BuildStats {
   size_t columns = 0;        ///< columns encoded + indexed
   trace::QueryStats trace;   ///< searcher.build span tree
@@ -180,8 +187,12 @@ class EmbeddingSearcher {
 
   /// Encodes and indexes the whole repository (offline phase). When a
   /// thread pool is given, the encoding stage — the dominant cost — runs
-  /// in parallel across columns. Fails (InvalidArgument) for an IVFPQ
-  /// backend with an empty repository: its quantizer needs training data.
+  /// in parallel across columns, and a flat (float) or HNSW index inserts
+  /// each finished chunk of rows on the calling thread while later chunks
+  /// encode; rows still go in as 0..n-1, so the index is the same as a
+  /// serial build's (IVFPQ and SQ8 flat train on all rows first). Fails
+  /// (InvalidArgument) for an IVFPQ backend with an empty repository: its
+  /// quantizer needs training data.
   /// Replaces the current snapshot (column ids reset to identity); in live
   /// mode the rebuilt state is immediately published as a new durable
   /// generation (the old generation's WAL describes the replaced index,
@@ -403,11 +414,15 @@ class EmbeddingSearcher {
 
   /// Encodes column_at(i) for i in [0, n) into row i of `out` (n x dim),
   /// in parallel across columns on `pool` when it has several threads.
-  /// Holds no searcher lock: ParallelFor takes the pool locks, and the
-  /// writer lock must never be held across a pool wait.
+  /// With a pool, `on_chunk` (if set) is ParallelFor's consumer: it gets
+  /// each finished range of rows in ascending order on this thread while
+  /// later rows still encode. Without a pool the rows encode inline and
+  /// on_chunk is not called. Holds no searcher lock: ParallelFor takes the
+  /// pool locks, and the writer lock must never be held across a pool wait.
   template <typename ColumnAt>
-  void EncodeColumns(size_t n, const ColumnAt& column_at, float* out,
-                     ThreadPool* pool) const;
+  void EncodeColumns(
+      size_t n, const ColumnAt& column_at, float* out, ThreadPool* pool,
+      const std::function<void(size_t, size_t)>& on_chunk = {}) const;
 
   /// Swaps the published snapshot (brief pointer-copy critical section).
   void Publish(std::shared_ptr<const IndexSnapshot> snap);

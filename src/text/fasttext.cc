@@ -1,5 +1,6 @@
 #include "text/fasttext.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -49,14 +50,34 @@ FastTextEmbedder::FastTextEmbedder(const FastTextConfig& config)
   }
 }
 
+namespace {
+
+// Per-thread n-gram id scratch: grows to the longest word seen, then
+// reuses its capacity.
+std::vector<u32>& GramScratch() {
+  thread_local std::vector<u32> grams;
+  return grams;
+}
+
+}  // namespace
+
 void FastTextEmbedder::AccumulateWord(std::string_view word,
                                       float* out) const {
-  std::vector<u32> grams;
+  std::vector<u32>& grams = GramScratch();
+  grams.clear();
   HashedCharNgrams(word, config_.minn, config_.maxn, config_.buckets, &grams);
+  const u64 dim = static_cast<u64>(config_.dim);
+  // The rows are scattered across the table: request them all before the
+  // first add needs one.
+  for (u32 g : grams) {
+    const float* row = &ngram_table_[g * dim];
+    for (u64 d = 0; d < dim; d += 16) __builtin_prefetch(row + d);
+  }
+  // ScaleAdd with beta == 1 is out + fl(row*inv) in both tiers (see
+  // util/kernels.h), the same two roundings as a scalar `out += row*inv`.
   const float inv = 1.0f / static_cast<float>(grams.size());
   for (u32 g : grams) {
-    const float* row = &ngram_table_[static_cast<u64>(g) * config_.dim];
-    for (int d = 0; d < config_.dim; ++d) out[d] += row[d] * inv;
+    kern::ScaleAdd(config_.dim, inv, &ngram_table_[g * dim], 1.0f, out);
   }
   auto it = word_vecs_.find(std::string(word));
   if (it != word_vecs_.end()) {
@@ -115,28 +136,40 @@ float* FastTextEmbedder::MutableWordVec(const std::string& word) {
 void FastTextEmbedder::TrainSynonyms(
     const std::vector<std::vector<std::string>>& groups, double strength,
     int epochs) {
-  const int dim = config_.dim;
-  std::vector<float> raw(dim), centroid(dim);
+  const size_t dim = static_cast<size_t>(config_.dim);
+  const float s = static_cast<float>(strength);
+  std::vector<float> raw, centroid(dim);
+  std::vector<std::string_view> sorted;
   for (int e = 0; e < epochs; ++e) {
     for (const auto& group : groups) {
       if (group.size() < 2) continue;
-      // Centroid of the *raw* (pre-normalization) vectors.
+      // Raw (pre-normalization) vector of every member, and their centroid.
+      raw.assign(group.size() * dim, 0.0f);
       std::fill(centroid.begin(), centroid.end(), 0.0f);
-      for (const auto& w : group) {
-        std::fill(raw.begin(), raw.end(), 0.0f);
-        AccumulateWord(w, raw.data());
-        for (int d = 0; d < dim; ++d) centroid[d] += raw[d];
+      for (size_t m = 0; m < group.size(); ++m) {
+        float* r = &raw[m * dim];
+        AccumulateWord(group[m], r);
+        for (size_t d = 0; d < dim; ++d) centroid[d] += r[d];
       }
       const float inv = 1.0f / static_cast<float>(group.size());
-      for (int d = 0; d < dim; ++d) centroid[d] *= inv;
+      for (size_t d = 0; d < dim; ++d) centroid[d] *= inv;
+      // A member's raw vector reads only its own word vector, so the
+      // updates below leave the other members' raw vectors as computed —
+      // unless a word repeats: its later occurrence must see the earlier
+      // one's update, so such a group recomputes each member.
+      sorted.assign(group.begin(), group.end());
+      std::sort(sorted.begin(), sorted.end());
+      const bool repeats =
+          std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
       // Move each member's word vector toward the centroid.
-      for (const auto& w : group) {
-        std::fill(raw.begin(), raw.end(), 0.0f);
-        AccumulateWord(w, raw.data());
-        float* wv = MutableWordVec(w);
-        for (int d = 0; d < dim; ++d) {
-          wv[d] += static_cast<float>(strength) * (centroid[d] - raw[d]);
+      for (size_t m = 0; m < group.size(); ++m) {
+        float* r = &raw[m * dim];
+        if (repeats) {
+          std::fill(r, r + dim, 0.0f);
+          AccumulateWord(group[m], r);
         }
+        float* wv = MutableWordVec(group[m]);
+        for (size_t d = 0; d < dim; ++d) wv[d] += s * (centroid[d] - r[d]);
       }
     }
   }

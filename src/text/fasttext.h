@@ -51,7 +51,12 @@ class FastTextEmbedder {
   void TextVectorInto(std::string_view text, float* out) const;
 
   /// Pulls words within each synonym group toward their group centroid.
-  /// `strength` in (0, 1]: 1 collapses a group to its centroid.
+  /// `strength` in (0, 1]: 1 collapses a group to its centroid. Per epoch
+  /// and group, the members' raw (pre-normalization) vectors are averaged
+  /// into the centroid, then each member in order moves its word vector by
+  /// strength * (centroid - raw). Each raw vector is computed once per
+  /// group and epoch; a group that repeats a word recomputes it before each
+  /// update, so a later occurrence sees the earlier one's move.
   void TrainSynonyms(const std::vector<std::vector<std::string>>& groups,
                      double strength, int epochs);
 

@@ -38,7 +38,10 @@
 //    fma(a, x, y) resp. fma(b, y, a*x), scalar keeps separate roundings.
 //    With a == 1, Axpy is an exact add in both tiers (1*x is exact), so
 //    pure additions stay bit-identical across tiers. ScaleAdd with b == 0
-//    writes a*x without reading y (safe on uninitialised y).
+//    writes a*x without reading y (safe on uninitialised y). ScaleAdd with
+//    b == 1 is y + fl(a*x) in both tiers (AVX2: fma(1, y, a*x); scalar:
+//    a*x + 1*y; 1*y is exact), i.e. the two roundings of a scalar
+//    `y += x*a` loop, bit-identical across tiers.
 //  * SquaredL2Sq8 (asymmetric: float query vs SQ8 codes), scalar tier: one
 //    sequential accumulator over i ascending; per element the decode is
 //    unfused (t = scale[i]*codes[i]; v = lo[i]+t — two roundings), then

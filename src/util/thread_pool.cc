@@ -81,11 +81,14 @@ std::function<void()> ThreadPool::TakeTaskLocked() {
   return task;
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+void ThreadPool::ParallelFor(
+    size_t n, const std::function<void(size_t)>& fn,
+    const std::function<void(size_t, size_t)>& on_chunk) {
   if (n == 0) return;
   const size_t threads = workers_.size();
   if (threads <= 1 || n < 2 || current_pool_ == this) {
     for (size_t i = 0; i < n; ++i) fn(i);
+    if (on_chunk) on_chunk(0, n);
     return;
   }
 
@@ -95,32 +98,52 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     Mutex mu{"threadpool.batch", rank::kPoolBatch};
     CondVar cv;
     size_t pending DJ_GUARDED_BY(mu) = 0;
+    /// done[c] != 0 once chunk c has finished; sized only for a consumer.
+    std::vector<u8> done DJ_GUARDED_BY(mu);
   };
   auto batch = std::make_shared<Batch>();
 
   const size_t chunks = std::min(threads * 4, n);
   const size_t per = (n + chunks - 1) / chunks;
+  // Chunks that start below n: never more than `chunks`, since per * chunks
+  // >= n.
+  const size_t live = (n + per - 1) / per;
   {
     MutexLock lk(batch->mu);
-    for (size_t c = 0; c < chunks; ++c) {
-      if (c * per >= n) break;
-      ++batch->pending;
-    }
+    batch->pending = live;
+    if (on_chunk) batch->done.assign(live, 0);
   }
-  for (size_t c = 0; c < chunks; ++c) {
+  for (size_t c = 0; c < live; ++c) {
     const size_t lo = c * per;
     const size_t hi = std::min(n, lo + per);
-    if (lo >= hi) break;
     // `fn` is captured by reference: this call blocks on the batch below,
     // so the referent outlives every chunk.
-    Submit([lo, hi, &fn, batch] {
+    Submit([c, lo, hi, &fn, batch] {
       for (size_t i = lo; i < hi; ++i) fn(i);
       MutexLock lk(batch->mu);
-      if (--batch->pending == 0) batch->cv.NotifyAll();
+      const bool has_consumer = !batch->done.empty();
+      if (has_consumer) batch->done[c] = 1;
+      if (--batch->pending == 0 || has_consumer) batch->cv.NotifyAll();
     });
   }
-  MutexLock lk(batch->mu);
-  while (batch->pending != 0) batch->cv.Wait(batch->mu);
+  if (!on_chunk) {
+    MutexLock lk(batch->mu);
+    while (batch->pending != 0) batch->cv.Wait(batch->mu);
+    return;
+  }
+  // Hand each run of finished chunks to the consumer in order, outside the
+  // batch lock (the consumer may take its own locks, e.g. index inserts).
+  for (size_t next = 0; next < live;) {
+    size_t ready = next;
+    {
+      MutexLock lk(batch->mu);
+      while (batch->done[next] == 0) batch->cv.Wait(batch->mu);
+      while (ready < live && batch->done[ready] != 0) ++ready;
+    }
+    for (; next < ready; ++next) {
+      on_chunk(next * per, std::min(n, next * per + per));
+    }
+  }
 }
 
 void ThreadPool::WorkerLoop() {

@@ -48,7 +48,16 @@ class ThreadPool {
   /// the pool, and blocks until done — without waiting on unrelated tasks
   /// (each call tracks its own batch). Falls back to inline execution for a
   /// single-thread pool, tiny n, or when called from a worker of this pool.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn)
+  ///
+  /// `on_chunk`, if set, is the consumer of finished work: on_chunk(lo, hi)
+  /// runs on the calling thread, in ascending order over contiguous chunks
+  /// that cover [0, n) exactly once, as soon as fn(i) has returned for
+  /// every i < hi — so the caller works through finished chunks while later
+  /// ones still run, instead of sleeping. It runs with no pool or batch lock
+  /// held, and ParallelFor returns after the last call. The inline
+  /// fallbacks call on_chunk(0, n) once, after every fn(i).
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
+                   const std::function<void(size_t, size_t)>& on_chunk = {})
       DJ_EXCLUDES(mu_);
 
  private:

@@ -41,17 +41,45 @@ TEST_F(IndexLifecycleTest, ParallelBuildMatchesSerialBuild) {
   SearcherConfig sc;
   EmbeddingSearcher serial(encoder_.get(), sc);
   ASSERT_TRUE(serial.BuildIndex(repo_).ok());
-  EmbeddingSearcher parallel(encoder_.get(), sc);
-  ThreadPool pool(3);
-  BuildStats build_stats;
-  ASSERT_TRUE(parallel.BuildIndex(repo_, &pool, &build_stats).ok());
-  EXPECT_EQ(build_stats.columns, repo_.size());
-  EXPECT_GT(build_stats.trace.total_ms(), 0.0);
-  ASSERT_EQ(parallel.index_size(), serial.index_size());
-  for (const auto& q : queries_) {
-    EXPECT_EQ(parallel.Search(q, {.k = 10}).ids,
-              serial.Search(q, {.k = 10}).ids);
+  const auto expect_same_ids = [&](EmbeddingSearcher& s) {
+    ASSERT_EQ(s.index_size(), serial.index_size());
+    for (const auto& q : queries_) {
+      EXPECT_EQ(s.Search(q, {.k = 10}).ids, serial.Search(q, {.k = 10}).ids);
+    }
+  };
+  // 3 threads insert chunks while later ones encode; 1 thread runs inline.
+  for (const size_t threads : {3u, 1u}) {
+    SCOPED_TRACE(threads);
+    EmbeddingSearcher parallel(encoder_.get(), sc);
+    ThreadPool pool(threads);
+    BuildStats build_stats;
+    ASSERT_TRUE(parallel.BuildIndex(repo_, &pool, &build_stats).ok());
+    EXPECT_EQ(build_stats.columns, repo_.size());
+    EXPECT_GT(build_stats.trace.total_ms(), 0.0);
+    const trace::SpanNode* build =
+        build_stats.trace.root.Find("searcher.build");
+    ASSERT_NE(build, nullptr);
+    const trace::SpanNode* encode = build->Find("searcher.build_encode");
+    const trace::SpanNode* index = build->Find("searcher.build_index");
+    ASSERT_NE(encode, nullptr);
+    ASSERT_NE(index, nullptr);
+    EXPECT_LE(encode->elapsed_ms + index->elapsed_ms, build->elapsed_ms);
+    expect_same_ids(parallel);
   }
+  // A live build publishes the pooled graph; reopening recovers it.
+  const std::string dir = path_ + ".live";
+  std::filesystem::remove_all(dir);
+  {
+    EmbeddingSearcher live(encoder_.get(), sc);
+    ASSERT_TRUE(live.OpenLive(dir).ok());
+    ThreadPool pool(3);
+    ASSERT_TRUE(live.BuildIndex(repo_, &pool).ok());
+    expect_same_ids(live);
+  }
+  EmbeddingSearcher reopened(encoder_.get(), sc);
+  ASSERT_TRUE(reopened.OpenLive(dir).ok());
+  expect_same_ids(reopened);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(IndexLifecycleTest, IncrementalAddMatchesBulkBuild) {

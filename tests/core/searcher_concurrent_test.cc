@@ -43,16 +43,28 @@ TEST_F(SearcherConcurrentTest, ParallelBuildMatchesSerialBuild) {
   EmbeddingSearcher serial(encoder_.get(), cfg);
   ASSERT_TRUE(serial.BuildIndex(repo_).ok());
 
-  ThreadPool pool(4);
-  EmbeddingSearcher parallel(encoder_.get(), cfg);
-  ASSERT_TRUE(parallel.BuildIndex(repo_, &pool).ok());
+  // 4 threads insert chunks while later ones encode; 1 thread runs inline.
+  for (const size_t threads : {4u, 1u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    EmbeddingSearcher parallel(encoder_.get(), cfg);
+    BuildStats build_stats;
+    ASSERT_TRUE(parallel.BuildIndex(repo_, &pool, &build_stats).ok());
+    const double build = build_stats.trace.SpanMs("searcher.build");
+    const double encode = build_stats.trace.SpanMs("searcher.build_encode");
+    const double index = build_stats.trace.SpanMs("searcher.build_index");
+    EXPECT_GT(encode, 0.0);
+    EXPECT_GT(index, 0.0);
+    EXPECT_LE(encode + index, build);
 
-  ASSERT_EQ(serial.index_size(), parallel.index_size());
-  // Same encoder, same repository: a racy Encode would perturb embeddings
-  // and flip rankings; the flat backend is exact, so results must agree.
-  for (const auto& q : queries_) {
-    EXPECT_EQ(serial.Search(q, {.k = 10}).ids,
-              parallel.Search(q, {.k = 10}).ids);
+    ASSERT_EQ(serial.index_size(), parallel.index_size());
+    // Same encoder, same repository: a racy Encode would perturb
+    // embeddings and flip rankings; the flat backend is exact, so results
+    // must agree.
+    for (const auto& q : queries_) {
+      EXPECT_EQ(serial.Search(q, {.k = 10}).ids,
+                parallel.Search(q, {.k = 10}).ids);
+    }
   }
 }
 

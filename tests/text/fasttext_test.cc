@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "text/char_ngram.h"
+#include "util/hash.h"
+#include "util/kernels.h"
 
 namespace deepjoin {
 namespace {
@@ -80,6 +82,35 @@ TEST_F(FastTextTest, TrainSynonymsLeavesOthersAlone) {
   const auto before = embedder_.WordVector("bystander");
   embedder_.TrainSynonyms({{"frentol", "gastupi"}}, 0.9, 3);
   EXPECT_EQ(embedder_.WordVector("bystander"), before);
+}
+
+// Golden regression: synonym training is pinned bit for bit in the scalar
+// tier. The lexicon covers the two cases the training loop must keep
+// exact: a group that repeats a word (its second occurrence sees the
+// first one's update) and a word shared by two groups.
+TEST(FastTextGoldenTest, TrainSynonymsMatchesRecordedBits) {
+  kern::ForceTierForTest(kern::Tier::kScalar);
+  FastTextConfig fc;
+  fc.dim = 64;
+  FastTextEmbedder emb(fc);
+  const std::vector<std::vector<std::string>> groups = {
+      {"nation", "national", "nations"},
+      {"a", "b", "a"},
+      {"bridge", "brig", "national"},
+      {"solo"},
+      {"preston", "perston"},
+  };
+  emb.TrainSynonyms(groups, 0.8, 2);
+  std::string bytes;
+  for (const auto& group : groups) {
+    for (const auto& w : group) {
+      const std::vector<float> v = emb.WordVector(w);
+      bytes.append(reinterpret_cast<const char*>(v.data()),
+                   v.size() * sizeof(float));
+    }
+  }
+  kern::ClearForcedTierForTest();
+  EXPECT_EQ(Fnv1a(bytes), 0x1cb51e2b830b0537ULL);
 }
 
 TEST_F(FastTextTest, SkipGramBringsCooccurringWordsCloser) {

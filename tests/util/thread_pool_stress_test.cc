@@ -46,6 +46,40 @@ TEST(ThreadPoolStressTest, ConcurrentParallelForAndWaitFromManyThreads) {
   EXPECT_EQ(sum.load(), 4L * 25 * 64);
 }
 
+TEST(ThreadPoolStressTest, ConsumerParallelForsBesideUnrelatedSubmits) {
+  ThreadPool pool(4);
+  std::atomic<long> unrelated{0};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> drivers;
+  drivers.reserve(4);
+  for (int t = 0; t < 4; ++t) {
+    drivers.emplace_back([&pool, &unrelated, &bad, t] {
+      for (int round = 0; round < 25; ++round) {
+        pool.Submit([&unrelated] { unrelated.fetch_add(1); });
+        // Plain (non-atomic) rows: the consumer reads what fn wrote on a
+        // worker, so TSan checks the chunk handoff's happens-before.
+        const size_t n = 64 + static_cast<size_t>(t * 7 + round);
+        std::vector<size_t> rows(n, 0);
+        size_t next = 0;
+        pool.ParallelFor(
+            n, [&rows](size_t i) { rows[i] = i + 1; },
+            [&rows, &next, &bad](size_t lo, size_t hi) {
+              if (lo != next) bad.fetch_add(1);
+              for (size_t i = lo; i < hi; ++i) {
+                if (rows[i] != i + 1) bad.fetch_add(1);
+              }
+              next = hi;
+            });
+        if (next != n) bad.fetch_add(1);
+      }
+    });
+  }
+  for (auto& d : drivers) d.join();
+  pool.Wait();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(unrelated.load(), 4L * 25);
+}
+
 TEST(ThreadPoolStressTest, ParallelForDoesNotWaitOnUnrelatedTasks) {
   ThreadPool pool(4);
   std::atomic<bool> release{false};
