@@ -3,11 +3,15 @@
 // These complement the table harnesses: they isolate per-component cost.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "bench/common.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "nn/row_ops.h"
 #include "util/alloc_guard.h"
 #include "util/kernels.h"
 #include "util/metrics.h"
@@ -56,6 +60,21 @@ bool PinTier(benchmark::State& state, std::int64_t tier_arg) {
   return true;
 }
 
+// The GEMM and encoder benchmarks take a GEMM path instead: 0 = scalar,
+// 1 = avx2+fma on the 8-lane 4x16 microkernel, 2 = the same tier on the
+// 16-lane 8x32 AVX-512 microkernel (skipped when the host lacks it).
+bool PinGemmPath(benchmark::State& state, std::int64_t path_arg) {
+  if (!PinTier(state, path_arg == 0 ? 0 : 1)) return false;
+  if (path_arg == 1) kern::PinAvx2GemmForTest();
+  if (path_arg == 2 && kern::ActiveGemmPath() != kern::GemmPath::kAvx512) {
+    kern::ClearForcedTierForTest();
+    state.SkipWithError("avx512 GEMM path unavailable on this host");
+    return false;
+  }
+  state.SetLabel(kern::GemmPathName(kern::ActiveGemmPath()));
+  return true;
+}
+
 std::vector<float> BenchVector(int n, int salt) {
   std::vector<float> v(static_cast<size_t>(n));
   Rng rng(static_cast<u64>(salt));
@@ -88,14 +107,20 @@ void BM_KernelSquaredL2(benchmark::State& state) {
 BENCHMARK(BM_KernelSquaredL2)->ArgsProduct({{32, 48, 64, 128}, {0, 1}});
 
 // The repo's GEMM shapes: transformer forward/backward at the two model
-// sizes (d_model 48/64, d_ff 192/256) over max_seq_len = 64 rows.
+// sizes (d_model 48/64, d_ff 192/256) over max_seq_len = 64 rows and over
+// L = 50 rows (the benchmark lake's mean column length), plus the two
+// per-head attention GEMMs at L = 50 (d_head 16). Last arg = GEMM path.
 void SgemmShapes(benchmark::internal::Benchmark* b) {
-  for (std::int64_t tier : {0, 1}) {
-    b->Args({64, 192, 48, tier});   // DistilSim FFN up
-    b->Args({64, 48, 192, tier});   // DistilSim FFN down
-    b->Args({64, 256, 64, tier});   // MPNetSim FFN up
-    b->Args({64, 64, 256, tier});   // MPNetSim FFN down
-    b->Args({64, 64, 64, tier});    // QKV projection (d=64)
+  for (std::int64_t path : {0, 1, 2}) {
+    for (std::int64_t m : {64, 50}) {
+      b->Args({m, 192, 48, path});   // DistilSim FFN up
+      b->Args({m, 48, 192, path});   // DistilSim FFN down
+      b->Args({m, 256, 64, path});   // MPNetSim FFN up
+      b->Args({m, 64, 256, path});   // MPNetSim FFN down
+      b->Args({m, 64, 64, path});    // QKV projection (d=64)
+    }
+    b->Args({50, 50, 16, path});     // per-head scores
+    b->Args({50, 16, 50, path});     // per-head context
   }
 }
 
@@ -103,7 +128,7 @@ void BM_SgemmNN(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));
   const int k = static_cast<int>(state.range(2));
-  if (!PinTier(state, state.range(3))) return;
+  if (!PinGemmPath(state, state.range(3))) return;
   const auto a = BenchVector(m * k, 5);
   const auto b = BenchVector(k * n, 6);
   std::vector<float> c(static_cast<size_t>(m) * n, 0.0f);
@@ -120,7 +145,7 @@ void BM_SgemmNT(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));
   const int k = static_cast<int>(state.range(2));
-  if (!PinTier(state, state.range(3))) return;
+  if (!PinGemmPath(state, state.range(3))) return;
   const auto a = BenchVector(m * k, 7);
   const auto b = BenchVector(n * k, 8);
   std::vector<float> c(static_cast<size_t>(m) * n, 0.0f);
@@ -137,7 +162,7 @@ void BM_SgemmTN(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));
   const int k = static_cast<int>(state.range(2));
-  if (!PinTier(state, state.range(3))) return;
+  if (!PinGemmPath(state, state.range(3))) return;
   const auto a = BenchVector(k * m, 9);
   const auto b = BenchVector(k * n, 10);
   std::vector<float> c(static_cast<size_t>(m) * n, 0.0f);
@@ -278,7 +303,7 @@ core::PlmColumnEncoder& SharedMpnetEncoder() {
 void BM_EncodeToVectorFastPath(benchmark::State& state) {
   auto& env = SharedEnv();
   auto& encoder = SharedMpnetEncoder();
-  if (!PinTier(state, state.range(0))) return;
+  if (!PinGemmPath(state, state.range(0))) return;
   std::vector<float> out(static_cast<size_t>(encoder.dim()));
   size_t i = 0;
   // Warm the thread-local scratch and workspace pool so the tally below
@@ -294,7 +319,136 @@ void BM_EncodeToVectorFastPath(benchmark::State& state) {
   ReportAllocsPerOp(state, tally);
   kern::ClearForcedTierForTest();
 }
-BENCHMARK(BM_EncodeToVectorFastPath)->Arg(0)->Arg(1);
+BENCHMARK(BM_EncodeToVectorFastPath)->Arg(0)->Arg(1)->Arg(2);
+
+// ForwardNoGrad's kernel calls replayed block by block at the MPNetSim
+// shape (d_model 64, 4 heads, d_ff 256, 2 layers, relative bias) for one
+// column of L = 50 tokens, the benchmark lake's mean. Each counter is one
+// block's microseconds per forward, summed over both layers; the
+// iteration time adds the input copy and the timer reads. Arg = GEMM path.
+void BM_ForwardBlocks(benchmark::State& state) {
+  if (!PinGemmPath(state, state.range(0))) return;
+  constexpr int L = 50, d = 64, heads = 4, dh = d / heads, d_ff = 256;
+  constexpr int kLayers = 2, ld_scores = 64, radius = 8;
+  constexpr int buckets = 2 * radius + 1;
+  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
+  struct Weights {
+    std::vector<float> wq, wk, wv, wo, bq, bk, bv, bo, ff1_w, ff1_b, ff2_w,
+        ff2_b, ln1_g, ln1_b, ln2_g, ln2_b, rel;
+  };
+  std::vector<Weights> layers(kLayers);
+  int salt = 100;
+  auto weights = [&salt](int n) {
+    std::vector<float> w = BenchVector(n, salt++);
+    for (float& v : w) v *= 0.125f;
+    return w;
+  };
+  for (Weights& w : layers) {
+    w.wq = weights(d * d), w.wk = weights(d * d), w.wv = weights(d * d);
+    w.wo = weights(d * d), w.bq = weights(d), w.bk = weights(d);
+    w.bv = weights(d), w.bo = weights(d);
+    w.ff1_w = weights(d * d_ff), w.ff1_b = weights(d_ff);
+    w.ff2_w = weights(d_ff * d), w.ff2_b = weights(d);
+    w.ln1_g = weights(d), w.ln1_b = weights(d);
+    w.ln2_g = weights(d), w.ln2_b = weights(d);
+    w.rel = weights(heads * buckets);
+  }
+  const std::vector<float> x0 = BenchVector(L * d, 7);
+  std::vector<float> x(x0.size()), q(x0.size()), k(x0.size()), v(x0.size()),
+      ctx(x0.size()), tmp(x0.size()), h1(static_cast<size_t>(L) * d_ff),
+      scores(static_cast<size_t>(L) * ld_scores), brow(2 * L - 1);
+  enum Block { kQkv, kQkT, kSoftmax, kV, kOutLn, kFfn1Gelu, kFfn2Ln, kBlocks };
+  static constexpr const char* kNames[kBlocks] = {
+      "qkv_us",    "qk_t_us",       "softmax_us", "v_us",
+      "out_ln_us", "ffn1_gelu_us", "ffn2_ln_us"};
+  double total_ns[kBlocks] = {};
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point mark;
+  auto lap = [&](Block b) {
+    const Clock::time_point now = Clock::now();
+    total_ns[b] += std::chrono::duration<double, std::nano>(now - mark).count();
+    mark = now;
+  };
+  auto zero = [](std::vector<float>& m) {
+    std::memset(m.data(), 0, m.size() * sizeof(float));
+  };
+  // Bias, residual add and LayerNorm after the output projection and FFN2.
+  auto add_ln = [&](const std::vector<float>& bias, const std::vector<float>& g,
+                    const std::vector<float>& be) {
+    for (int i = 0; i < L; ++i) {
+      float* xr = x.data() + i * d;
+      kern::Axpy(d, 1.0f, bias.data(), tmp.data() + i * d);
+      kern::Axpy(d, 1.0f, tmp.data() + i * d, xr);
+      nn::LayerNormRow(xr, d, g.data(), be.data(), 1e-5f, nullptr, xr);
+    }
+  };
+  for (auto _ : state) {
+    std::memcpy(x.data(), x0.data(), x0.size() * sizeof(float));
+    mark = Clock::now();
+    for (const Weights& w : layers) {
+      zero(q), zero(k), zero(v);
+      kern::SgemmNN(L, d, d, x.data(), d, w.wq.data(), d, q.data(), d);
+      kern::SgemmNN(L, d, d, x.data(), d, w.wk.data(), d, k.data(), d);
+      kern::SgemmNN(L, d, d, x.data(), d, w.wv.data(), d, v.data(), d);
+      for (int i = 0; i < L; ++i) {
+        kern::Axpy(d, 1.0f, w.bq.data(), q.data() + i * d);
+        kern::Axpy(d, 1.0f, w.bk.data(), k.data() + i * d);
+        kern::Axpy(d, 1.0f, w.bv.data(), v.data() + i * d);
+      }
+      zero(ctx);
+      lap(kQkv);
+      for (int h = 0; h < heads; ++h) {
+        for (int i = 0; i < L; ++i) {
+          std::memset(scores.data() + i * ld_scores, 0, sizeof(float) * L);
+        }
+        kern::SgemmNT(L, L, dh, q.data() + h * dh, d, k.data() + h * dh, d,
+                      scores.data(), ld_scores);
+        lap(kQkT);
+        for (int i = 0; i < L; ++i) {
+          float* srow = scores.data() + i * ld_scores;
+          kern::ScaleAdd(L, inv_sqrt_dh, srow, 0.0f, srow);
+        }
+        const float* trow = w.rel.data() + h * buckets;
+        for (int t = 0; t < 2 * L - 1; ++t) {
+          brow[t] = trow[nn::RelPosBucket(L - 1, t, radius, buckets)];
+        }
+        for (int i = 0; i < L; ++i) {
+          float* srow = scores.data() + i * ld_scores;
+          kern::Axpy(L, 1.0f, brow.data() + (L - 1 - i), srow);
+          kern::Softmax(L, srow, nullptr, srow);
+        }
+        lap(kSoftmax);
+        kern::SgemmNN(L, dh, L, scores.data(), ld_scores, v.data() + h * dh, d,
+                      ctx.data() + h * dh, d);
+        lap(kV);
+      }
+      zero(tmp);
+      kern::SgemmNN(L, d, d, ctx.data(), d, w.wo.data(), d, tmp.data(), d);
+      add_ln(w.bo, w.ln1_g, w.ln1_b);
+      lap(kOutLn);
+      zero(h1);
+      kern::SgemmNN(L, d_ff, d, x.data(), d, w.ff1_w.data(), d_ff, h1.data(),
+                    d_ff);
+      for (int i = 0; i < L; ++i) {
+        kern::Axpy(d_ff, 1.0f, w.ff1_b.data(), h1.data() + i * d_ff);
+      }
+      kern::GeluTanh(L * d_ff, h1.data(), h1.data());
+      lap(kFfn1Gelu);
+      zero(tmp);
+      kern::SgemmNN(L, d, d_ff, h1.data(), d_ff, w.ff2_w.data(), d, tmp.data(),
+                    d);
+      add_ln(w.ff2_b, w.ln2_g, w.ln2_b);
+      lap(kFfn2Ln);
+    }
+    benchmark::DoNotOptimize(x.data());
+  }
+  for (int b = 0; b < kBlocks; ++b) {
+    state.counters[kNames[b]] = benchmark::Counter(
+        total_ns[b] * 1e-3, benchmark::Counter::kAvgIterations);
+  }
+  kern::ClearForcedTierForTest();
+}
+BENCHMARK(BM_ForwardBlocks)->Arg(0)->Arg(1)->Arg(2);
 
 // The forward pass's two transcendental loops at the MPNetSim shapes: one
 // FFN row (d_ff 256) and one attention-score row (L = 50, the mean

@@ -25,6 +25,8 @@ namespace {
 
 // 0 = no override, else 1 + static_cast<int>(Tier).
 std::atomic<int> g_forced_tier{0};
+// Set by PinAvx2GemmForTest: the kAvx2 tier's GEMM runs the 4x16 kernel.
+std::atomic<bool> g_pinned_avx2_gemm{false};
 
 Tier DetectTierOnce() {
   const char* force = std::getenv("DJ_FORCE_SCALAR_KERNELS");
@@ -37,6 +39,17 @@ Tier DetectTierOnce() {
   }
 #endif
   return Tier::kScalar;
+}
+
+// Whether the kAvx2 tier's GEMM may run the 16-lane microkernel. The
+// cpuid check also covers OS support for the zmm register state.
+bool HasAvx512Gemm() {
+#if DJ_KERNELS_X86
+  static const bool has = __builtin_cpu_supports("avx512f");
+  return has;
+#else
+  return false;
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -106,12 +119,11 @@ void SoftmaxScalar(int n, const float* x, const float* mask, float* out) {
   for (int j = 0; j < n; ++j) out[j] *= inv;
 }
 
-// GEMM blocking constants, shared by both tiers so the per-element chain
-// (seeded 0 per KC block of k, ascending within it) is tier-independent in
-// SHAPE — only the fused-vs-unfused arithmetic differs.
-constexpr int kKC = 256;  // k-block: one block covers every repo shape
-constexpr int kMR = 4;    // microkernel rows
-constexpr int kNR = 16;   // microkernel cols (two 8-float AVX2 lanes)
+// GEMM k-block, shared by every path so the per-element chain (seeded 0
+// per KC block of k, ascending within it) is tier-independent in SHAPE —
+// only the fused-vs-unfused arithmetic differs. One block covers every
+// repo shape.
+constexpr int kKC = 256;
 
 enum class Variant { kNN, kNT, kTN };
 
@@ -416,17 +428,31 @@ void SoftmaxAvx2(int n, const float* x, const float* mask, float* out) {
   }
 }
 
-/// 4x16 FMA microkernel over one KC block. Row r of op(A) starts at a[r]
-/// and steps by a_step per k; b holds kc rows of 16 B values, ldb apart.
-/// Every accumulator lane is the documented single FMA chain. Rows past
-/// `rows` alias the last valid row (so nothing past op(A) is read) and
-/// are never stored; only the `rows` x `cols` valid corner of C is
-/// updated. The eight accumulators are named variables, not an array,
-/// so they stay in registers at -O2.
+// ---- GEMM: two microkernels, one blocked loop nest -------------------------
+//
+// Both microkernels compute the kAvx2 tier's documented chain: every
+// accumulator lane of C(i, j) starts at 0 per KC block and takes one FMA
+// per k, ascending, and the block sum is added into C. IEEE FMA rounds
+// the same at any vector width, so the 16-lane kernel's results are
+// bit-identical to the 8-lane kernel's.
+
+/// A microkernel updates the `rows` x `cols` corner of C at c (ldc apart)
+/// with one KC block: row r of op(A) starts at a[r] and steps by a_step
+/// per k, and b holds kc rows of the tile's kNR B columns, ldb apart.
+/// Rows past `rows` alias the last valid row (so nothing past op(A) is
+/// read) and are never stored.
+using MicroKernelFn = void (*)(int kc, const float* const* a, int a_step,
+                               const float* b, int ldb, float* c, int ldc,
+                               int rows, int cols);
+
+/// 4x16 AVX2 microkernel. B rows are read as two full 8-float vectors, so
+/// SgemmBlocked hands it a zero-padded panel when cols < 16. The eight
+/// accumulators are named variables, not an array, so they stay in
+/// registers at -O2.
 __attribute__((target("avx2,fma")))
-void MicroKernel4x16(int kc, const float* const* a, int a_step,
-                     const float* b, int ldb, float* c, int ldc, int rows,
-                     int cols) {
+DJ_NOALLOC void MicroKernel4x16(int kc, const float* const* a, int a_step,
+                                const float* b, int ldb, float* c, int ldc,
+                                int rows, int cols) {
   const float* a0 = a[0];
   const float* a1 = a[1];
   const float* a2 = a[2];
@@ -456,7 +482,7 @@ void MicroKernel4x16(int kc, const float* const* a, int a_step,
     a2 += a_step;
     a3 += a_step;
   }
-  const __m256 acc[kMR][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
+  const __m256 acc[4][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
   for (int r = 0; r < rows; ++r) {
     float* crow = c + static_cast<size_t>(r) * ldc;
     for (int half = 0; half < 2; ++half) {
@@ -474,12 +500,109 @@ void MicroKernel4x16(int kc, const float* const* a, int a_step,
   }
 }
 
-/// Packs the kc x `cols` block of op(B) at (k0, j0) into a zero-padded
-/// kc x kNR panel, k-major.
-void PackBPanel(Variant variant, const float* b, int ldb, int k0, int kc,
-                int j0, int cols, float* out) {
+// First `valid` of 16 lanes (all for valid >= 16, none for valid <= 0).
+inline __mmask16 Mask16(int valid) {
+  if (valid >= 16) return 0xFFFF;
+  return valid <= 0 ? 0 : static_cast<__mmask16>((1u << valid) - 1u);
+}
+
+// One row's k step: C row += broadcast(a) * B, over kNV 16-lane vectors.
+template <int kNV>
+__attribute__((target("avx512f")))
+inline void RowFma16(const float* a, __m512 b0, __m512 b1, __m512& c0,
+                     __m512& c1) {
+  const __m512 av = _mm512_set1_ps(*a);
+  c0 = _mm512_fmadd_ps(av, b0, c0);
+  if constexpr (kNV > 1) c1 = _mm512_fmadd_ps(av, b1, c1);
+}
+
+template <int kNV>
+__attribute__((target("avx512f")))
+inline void StoreRow16(float* crow, __mmask16 m0, __mmask16 m1, __m512 c0,
+                       __m512 c1) {
+  _mm512_mask_storeu_ps(
+      crow, m0, _mm512_add_ps(_mm512_maskz_loadu_ps(m0, crow), c0));
+  if constexpr (kNV > 1) {
+    if (m1 != 0) {
+      _mm512_mask_storeu_ps(
+          crow + 16, m1,
+          _mm512_add_ps(_mm512_maskz_loadu_ps(m1, crow + 16), c1));
+    }
+  }
+}
+
+/// 8 x (16 * kNV) AVX-512 microkernel. B rows are read with masked loads
+/// that never touch columns past `cols`, so column tails need no packed
+/// panel. Up to 16 zmm accumulators, named so they stay in registers.
+template <int kNV>
+__attribute__((target("avx512f")))
+DJ_NOALLOC void MicroKernel8x16V(int kc, const float* const* a, int a_step,
+                                 const float* b, int ldb, float* c, int ldc,
+                                 int rows, int cols) {
+  const __mmask16 m0 = Mask16(cols);
+  const __mmask16 m1 = Mask16(cols - 16);
+  const float* a0 = a[0];
+  const float* a1 = a[1];
+  const float* a2 = a[2];
+  const float* a3 = a[3];
+  const float* a4 = a[4];
+  const float* a5 = a[5];
+  const float* a6 = a[6];
+  const float* a7 = a[7];
+  const __m512 z = _mm512_setzero_ps();
+  __m512 c00 = z, c01 = z, c10 = z, c11 = z, c20 = z, c21 = z, c30 = z,
+         c31 = z, c40 = z, c41 = z, c50 = z, c51 = z, c60 = z, c61 = z,
+         c70 = z, c71 = z;
   for (int p = 0; p < kc; ++p) {
-    float* dst = out + static_cast<size_t>(p) * kNR;
+    const __m512 b0 = _mm512_maskz_loadu_ps(m0, b);
+    const __m512 b1 = kNV > 1 ? _mm512_maskz_loadu_ps(m1, b + 16) : z;
+    RowFma16<kNV>(a0, b0, b1, c00, c01);
+    RowFma16<kNV>(a1, b0, b1, c10, c11);
+    RowFma16<kNV>(a2, b0, b1, c20, c21);
+    RowFma16<kNV>(a3, b0, b1, c30, c31);
+    RowFma16<kNV>(a4, b0, b1, c40, c41);
+    RowFma16<kNV>(a5, b0, b1, c50, c51);
+    RowFma16<kNV>(a6, b0, b1, c60, c61);
+    RowFma16<kNV>(a7, b0, b1, c70, c71);
+    b += ldb;
+    a0 += a_step;
+    a1 += a_step;
+    a2 += a_step;
+    a3 += a_step;
+    a4 += a_step;
+    a5 += a_step;
+    a6 += a_step;
+    a7 += a_step;
+  }
+  const __m512 acc[8][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31},
+                            {c40, c41}, {c50, c51}, {c60, c61}, {c70, c71}};
+  for (int r = 0; r < rows; ++r) {
+    StoreRow16<kNV>(c + static_cast<size_t>(r) * ldc, m0, m1, acc[r][0],
+                    acc[r][1]);
+  }
+}
+
+struct Avx2Tile {
+  static constexpr int kMR = 4;
+  static constexpr int kNR = 16;
+  static constexpr bool kPacksColumnTail = true;
+  static constexpr MicroKernelFn kKernel = MicroKernel4x16;
+};
+
+template <int kNV>
+struct Avx512Tile {
+  static constexpr int kMR = 8;
+  static constexpr int kNR = 16 * kNV;
+  static constexpr bool kPacksColumnTail = false;
+  static constexpr MicroKernelFn kKernel = MicroKernel8x16V<kNV>;
+};
+
+/// Packs the kc x `cols` block of op(B) at (k0, j0) into a zero-padded
+/// kc x nr panel, k-major.
+DJ_NOALLOC void PackBPanel(Variant variant, const float* b, int ldb, int k0,
+                           int kc, int j0, int cols, int nr, float* out) {
+  for (int p = 0; p < kc; ++p) {
+    float* dst = out + static_cast<size_t>(p) * nr;
     if (variant == Variant::kNT) {
       for (int j = 0; j < cols; ++j) {
         dst[j] = b[static_cast<size_t>(j0 + j) * ldb + k0 + p];
@@ -488,22 +611,26 @@ void PackBPanel(Variant variant, const float* b, int ldb, int k0, int kc,
       const float* src = b + static_cast<size_t>(k0 + p) * ldb + j0;
       for (int j = 0; j < cols; ++j) dst[j] = src[j];
     }
-    for (int j = cols; j < kNR; ++j) dst[j] = 0.0f;
+    for (int j = cols; j < nr; ++j) dst[j] = 0.0f;
   }
 }
 
-/// Blocked GEMM driver (AVX2 tier). Per KC block and 16-column panel of
-/// op(B), every kMR-row panel of op(A) runs through the microkernel while
-/// the B panel stays in L1. A is always read in place; a B panel is read
-/// in place when its rows are contiguous 16-float runs (NN/TN, full
-/// width) and packed otherwise (NT, or the narrower last panel).
-void SgemmAvx2(Variant variant, int m, int n, int k, const float* a, int lda,
-               const float* b, int ldb, float* c, int ldc) {
+/// Blocked GEMM loop nest for both microkernels. Per KC block and kNR-column
+/// panel of op(B), every kMR-row panel of op(A) runs through the
+/// microkernel while the B panel stays in L1. A is always read in place.
+/// A B panel is packed into a stack buffer for NT (B^T is
+/// column-strided) and, for a tile that cannot mask its loads, for the
+/// narrower last panel; it is read in place otherwise.
+template <typename Tile>
+DJ_NOALLOC void SgemmBlocked(Variant variant, int m, int n, int k,
+                             const float* a, int lda, const float* b, int ldb,
+                             float* c, int ldc) {
+  constexpr int kMR = Tile::kMR;
+  constexpr int kNR = Tile::kNR;
   // op(A)(i, p) = a[i * a_row + p * a_step].
   const size_t a_row = variant == Variant::kTN ? 1 : static_cast<size_t>(lda);
   const int a_step = variant == Variant::kTN ? lda : 1;
-  // Scratch for packed panels; PackBPanel writes all kc x kNR values of it
-  // before the microkernel reads any.
+  // PackBPanel writes all kc x kNR values before the microkernel reads any.
   alignas(64) float pack[kKC * kNR];
   for (int k0 = 0; k0 < k; k0 += kKC) {
     const int kc = std::min(kKC, k - k0);
@@ -511,8 +638,8 @@ void SgemmAvx2(Variant variant, int m, int n, int k, const float* a, int lda,
       const int cols = std::min(kNR, n - j0);
       const float* bp = b + static_cast<size_t>(k0) * ldb + j0;
       int ldbp = ldb;
-      if (variant == Variant::kNT || cols < kNR) {
-        PackBPanel(variant, b, ldb, k0, kc, j0, cols, pack);
+      if (variant == Variant::kNT || (Tile::kPacksColumnTail && cols < kNR)) {
+        PackBPanel(variant, b, ldb, k0, kc, j0, cols, kNR, pack);
         bp = pack;
         ldbp = kNR;
       }
@@ -523,9 +650,8 @@ void SgemmAvx2(Variant variant, int m, int n, int k, const float* a, int lda,
           ar[r] = a + static_cast<size_t>(i0 + std::min(r, rows - 1)) * a_row +
                   static_cast<size_t>(k0) * a_step;
         }
-        MicroKernel4x16(kc, ar, a_step, bp, ldbp,
-                        c + static_cast<size_t>(i0) * ldc + j0, ldc, rows,
-                        cols);
+        Tile::kKernel(kc, ar, a_step, bp, ldbp,
+                      c + static_cast<size_t>(i0) * ldc + j0, ldc, rows, cols);
       }
     }
   }
@@ -537,9 +663,21 @@ void SgemmDispatch(Variant variant, int m, int n, int k, const float* a,
                    int lda, const float* b, int ldb, float* c, int ldc) {
   if (m <= 0 || n <= 0 || k <= 0) return;
 #if DJ_KERNELS_X86
-  if (ActiveTier() == Tier::kAvx2) {
-    SgemmAvx2(variant, m, n, k, a, lda, b, ldb, c, ldc);
-    return;
+  switch (ActiveGemmPath()) {
+    case GemmPath::kAvx512:
+      // One-vector panels for narrow B (the per-head context GEMM, n =
+      // d_head = 16), where the 8x32 tile would run half empty.
+      if (n <= 16) {
+        SgemmBlocked<Avx512Tile<1>>(variant, m, n, k, a, lda, b, ldb, c, ldc);
+      } else {
+        SgemmBlocked<Avx512Tile<2>>(variant, m, n, k, a, lda, b, ldb, c, ldc);
+      }
+      return;
+    case GemmPath::kAvx2:
+      SgemmBlocked<Avx2Tile>(variant, m, n, k, a, lda, b, ldb, c, ldc);
+      return;
+    case GemmPath::kScalar:
+      break;
   }
 #endif
   SgemmScalar(variant, m, n, k, a, lda, b, ldb, c, ldc);
@@ -577,6 +715,28 @@ void ForceTierForTest(Tier tier) {
 
 void ClearForcedTierForTest() {
   g_forced_tier.store(0, std::memory_order_relaxed);
+  g_pinned_avx2_gemm.store(false, std::memory_order_relaxed);
+}
+
+GemmPath ActiveGemmPath() {
+  if (ActiveTier() == Tier::kScalar) return GemmPath::kScalar;
+  if (g_pinned_avx2_gemm.load(std::memory_order_relaxed) || !HasAvx512Gemm()) {
+    return GemmPath::kAvx2;
+  }
+  return GemmPath::kAvx512;
+}
+
+const char* GemmPathName(GemmPath path) {
+  switch (path) {
+    case GemmPath::kAvx512: return "avx512-8x32";
+    case GemmPath::kAvx2: return "avx2-4x16";
+    case GemmPath::kScalar: break;
+  }
+  return "scalar";
+}
+
+void PinAvx2GemmForTest() {
+  g_pinned_avx2_gemm.store(true, std::memory_order_relaxed);
 }
 
 float Dot(const float* a, const float* b, int n) {

@@ -10,6 +10,10 @@
 //             environment variable DJ_FORCE_SCALAR_KERNELS=1, for parity
 //             testing and for reproducing results across machines)
 // Tests may pin the tier in-process with ForceTierForTest().
+// A tier names a numeric contract, not the widest ISA its kernels use:
+// within kAvx2, Sgemm* runs a 16-lane AVX-512 microkernel on hosts with
+// avx512f (GemmPath::kAvx512) and the 8-lane one elsewhere. Both compute
+// the kAvx2 chain below, bit for bit, so TierName still says "avx2+fma".
 //
 // Determinism contract (DESIGN.md §8): every kernel has a FIXED, documented
 // reduction order per tier. Two calls with the same inputs in the same tier
@@ -32,8 +36,10 @@
 //    seeded at 0 per KC-sized k-block (KC = 256), k ascending within the
 //    block (AVX2: one FMA per step; scalar: unfused multiply-add), block
 //    sums added into C in ascending block order. The chain never depends
-//    on the variant, tile position, or m/n partitioning, which is what
-//    makes row-parallel GEMM bit-identical to serial.
+//    on the variant, tile position, vector width (the 8-lane and 16-lane
+//    microkernels of the AVX2 tier give the same bits: an FMA rounds the
+//    same in any lane) or m/n partitioning, which is what makes
+//    row-parallel GEMM bit-identical to serial.
 //  * Axpy (y += a*x) and ScaleAdd (y = a*x + b*y): elementwise; AVX2 uses
 //    fma(a, x, y) resp. fma(b, y, a*x), scalar keeps separate roundings.
 //    With a == 1, Axpy is an exact add in both tiers (1*x is exact), so
@@ -112,7 +118,20 @@ const char* TierName(Tier tier);
 /// without AVX2+FMA is a checked error. Not thread-safe against concurrent
 /// kernel calls — flip tiers only between test phases.
 void ForceTierForTest(Tier tier);
+/// Clears ForceTierForTest and PinAvx2GemmForTest.
 void ClearForcedTierForTest();
+
+/// The microkernel Sgemm* runs on. kAvx512 is not a tier: it computes the
+/// kAvx2 tier's documented chain on 16-lane registers, so every result is
+/// bit-identical to kAvx2's. It is chosen whenever the active tier is
+/// kAvx2 and the host has avx512f.
+enum class GemmPath { kScalar, kAvx2, kAvx512 };
+GemmPath ActiveGemmPath();
+const char* GemmPathName(GemmPath path);
+
+/// Test hook: pin the kAvx2 tier's GEMM to its 8-lane 4x16 microkernel on
+/// hosts that also have avx512f, so tests can compare the two paths.
+void PinAvx2GemmForTest();
 
 // Every kernel below is DJ_NOALLOC: pure loops over caller-owned buffers
 // (the contract tools/dj_alloc verifies across both dispatch tiers).
@@ -156,12 +175,13 @@ DJ_NOALLOC void Softmax(int n, const float* x, const float* mask,
 //   NT: A is [m,k] (lda >= k), B is [n,k] (ldb >= k)  — C += A @ B^T
 //   TN: A is [k,m] (lda >= m), B is [k,n] (ldb >= n)  — C += A^T @ B
 // C is [m,n] (ldc >= n) and must not alias A or B.
-// The AVX2 tier reads A and full-width (16-column) NN/TN panels of B in
-// place; it packs only NT panels (B^T is column-strided) and the last,
-// narrower-than-16 panel of B (zero-padded so the microkernel needs no
-// column tail), into a stack buffer. The scalar tier's thread-local
-// accumulator strip grows to the widest n seen and then reuses capacity
-// (DJ_NOALLOC steady state).
+// The AVX2 tier reads A and NN/TN panels of B in place and packs NT
+// panels (B^T is column-strided) into a stack buffer. Its 16-lane
+// microkernel (8x32 tiles, 8x16 when n <= 16) reads column tails with
+// masked loads; the 8-lane one (4x16 tiles) packs the last,
+// narrower-than-16 panel into the zero-padded stack buffer instead. The
+// scalar tier's thread-local accumulator strip grows to the widest n seen
+// and then reuses capacity (DJ_NOALLOC steady state).
 DJ_NOALLOC void SgemmNN(int m, int n, int k, const float* a, int lda,
                         const float* b, int ldb, float* c, int ldc);
 DJ_NOALLOC void SgemmNT(int m, int n, int k, const float* a, int lda,

@@ -11,7 +11,9 @@
 //     or on how rows are partitioned across threads (parallel == serial,
 //     bit-identical).
 //  3. Path parity: the transformer's allocation-free EncodeToVector
-//     fast path is bit-identical to the autograd graph forward.
+//     fast path is bit-identical to the autograd graph forward, and the
+//     AVX2 tier's two GEMM microkernels (8-lane 4x16, 16-lane 8x32) give
+//     the same bits for GEMMs, encodings and a training step.
 //
 // Buffers are exact-size heap allocations so the ASan leg of check.sh
 // catches any out-of-bounds read a tail/corner case might perform;
@@ -27,7 +29,9 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/loss.h"
 #include "nn/matrix.h"
+#include "nn/optimizer.h"
 #include "nn/transformer.h"
 #include "util/thread_pool.h"
 
@@ -211,11 +215,46 @@ class ForcedTier {
   ~ForcedTier() { ClearForcedTierForTest(); }
 };
 
+Tier TierOf(GemmPath path) {
+  return path == GemmPath::kScalar ? Tier::kScalar : Tier::kAvx2;
+}
+
+/// GEMM paths available on this machine: scalar always; the AVX2 tier's
+/// 8-lane kernel when the tier is detected, and its 16-lane kernel when
+/// the host also has avx512f.
+std::vector<GemmPath> AvailableGemmPaths() {
+  std::vector<GemmPath> paths = {GemmPath::kScalar};
+  if (DetectedTier() != Tier::kAvx2) return paths;
+  paths.push_back(GemmPath::kAvx2);
+  ForcedTier forced(Tier::kAvx2);
+  if (ActiveGemmPath() == GemmPath::kAvx512) {
+    paths.push_back(GemmPath::kAvx512);
+  }
+  return paths;
+}
+
+// Pins one GEMM path. Loops run the paths in AvailableGemmPaths order, so
+// the check that kAvx512 is active also proves that
+// ClearForcedTierForTest dropped the previous iteration's 8-lane pin.
+class ForcedGemmPath {
+ public:
+  explicit ForcedGemmPath(GemmPath path) {
+    ForceTierForTest(TierOf(path));
+    if (path == GemmPath::kAvx2) PinAvx2GemmForTest();
+    EXPECT_EQ(path, ActiveGemmPath());
+  }
+  ~ForcedGemmPath() { ClearForcedTierForTest(); }
+};
+
 TEST(KernelsTest, TierNamesResolve) {
   EXPECT_STREQ("scalar", TierName(Tier::kScalar));
   EXPECT_STREQ("avx2+fma", TierName(Tier::kAvx2));
   // ActiveTier is one of the two and is stable across calls.
   EXPECT_EQ(ActiveTier(), ActiveTier());
+  // The GEMM paths are not tiers: TierName names the numeric contract.
+  EXPECT_STREQ("scalar", GemmPathName(GemmPath::kScalar));
+  EXPECT_STREQ("avx2-4x16", GemmPathName(GemmPath::kAvx2));
+  EXPECT_STREQ("avx512-8x32", GemmPathName(GemmPath::kAvx512));
 }
 
 TEST(KernelsTest, DotMatchesDocumentedOrderExactly) {
@@ -405,14 +444,16 @@ TEST(KernelsTest, ScaleAddInPlaceAliasingAllowed) {
 }
 
 TEST(KernelsTest, SgemmMatchesDoubleReference) {
-  // Shapes cross microkernel boundaries (MR=4, NR=16) and the repo's
-  // training shapes; lda/ldb/ldc padding exercises the sub-view paths.
+  // Shapes cross both microkernels' boundaries (4x16 and 8x32) and the
+  // repo's training shapes; lda/ldb/ldc padding exercises the sub-view
+  // paths.
   struct Shape { int m, n, k, pad; };
   const Shape shapes[] = {{1, 1, 1, 0},   {3, 5, 7, 0},   {4, 16, 8, 0},
                           {5, 17, 9, 3},  {13, 29, 31, 1}, {64, 48, 48, 0},
-                          {64, 192, 48, 0}, {64, 64, 256, 5}, {2, 300, 2, 0}};
-  for (Tier tier : AvailableTiers()) {
-    ForcedTier forced(tier);
+                          {64, 192, 48, 0}, {64, 64, 256, 5}, {2, 300, 2, 0},
+                          {9, 33, 17, 0}, {15, 95, 40, 2}, {50, 16, 50, 0}};
+  for (GemmPath path : AvailableGemmPaths()) {
+    ForcedGemmPath forced(path);
     for (const auto& s : shapes) {
       for (Variant v : {Variant::kNN, Variant::kNT, Variant::kTN}) {
         const int ar = (v == Variant::kTN) ? s.k : s.m;
@@ -438,7 +479,7 @@ TEST(KernelsTest, SgemmMatchesDoubleReference) {
             const double want = ref[static_cast<size_t>(i) * s.n + j];
             const double got = c[static_cast<size_t>(i) * ldc + j];
             ASSERT_NEAR(want, got, 1e-3 + 1e-4 * std::abs(want))
-                << TierName(tier) << " variant=" << static_cast<int>(v)
+                << GemmPathName(path) << " variant=" << static_cast<int>(v)
                 << " m=" << s.m << " n=" << s.n << " k=" << s.k << " (" << i
                 << "," << j << ")";
           }
@@ -449,15 +490,23 @@ TEST(KernelsTest, SgemmMatchesDoubleReference) {
 }
 
 TEST(KernelsTest, SgemmMatchesDocumentedChainExactly) {
-  // m % 4 in {1, 2, 3} leaves microkernel row tails, n % 16 != 0 leaves a
-  // packed edge panel, k = 300 spans two KC blocks, and padded leading
-  // dimensions put garbage the kernel must never read next to every row.
+  // m % 4 in {1, 2, 3} and m % 8 in {1..7} leave row tails of both
+  // microkernels; n % 16 != 0 leaves the 4x16 kernel's packed edge panel
+  // and n % 32 in {1, 15, 16, 17, 31} the 8x32 kernel's masked one; NT at
+  // n = 50 and 64 covers its packed panels; k = 300 spans two KC blocks;
+  // padded leading dimensions put garbage the kernel must never read next
+  // to every row. Unpadded shapes end their buffers exactly at the last
+  // element, so the ASan leg sees any over-read.
   struct Shape { int m, n, k, pad; };
-  const Shape shapes[] = {{1, 1, 1, 0},    {5, 17, 300, 3}, {6, 33, 300, 1},
-                          {7, 50, 300, 2}, {13, 64, 300, 5}, {50, 16, 50, 0},
-                          {64, 256, 64, 0}, {37, 37, 16, 48}};
-  for (Tier tier : AvailableTiers()) {
-    ForcedTier forced(tier);
+  const Shape shapes[] = {
+      {1, 1, 1, 0},      {5, 17, 300, 3},   {6, 33, 300, 1},
+      {7, 50, 300, 2},   {13, 64, 300, 5},  {50, 16, 50, 0},
+      {64, 256, 64, 0},  {37, 37, 16, 48},  {9, 33, 300, 0},
+      {10, 47, 300, 0},  {11, 48, 300, 0},  {12, 49, 300, 0},
+      {13, 63, 300, 0},  {14, 81, 300, 0},  {15, 95, 300, 0},
+      {23, 16, 300, 0},  {50, 50, 16, 0},   {50, 64, 300, 0}};
+  for (GemmPath path : AvailableGemmPaths()) {
+    ForcedGemmPath forced(path);
     for (const auto& s : shapes) {
       for (Variant v : {Variant::kNN, Variant::kNT, Variant::kTN}) {
         const int ar = (v == Variant::kTN) ? s.k : s.m;
@@ -469,13 +518,13 @@ TEST(KernelsTest, SgemmMatchesDocumentedChainExactly) {
         const auto b = MakeVector(br * ldb, 5150);
         auto got = MakeVector(s.m * ldc, 61);  // accumulate onto nonzero C
         auto want = got;
-        RefGemmChain(tier, v, s.m, s.n, s.k, a.data(), lda, b.data(), ldb,
-                     want.data(), ldc);
+        RefGemmChain(TierOf(path), v, s.m, s.n, s.k, a.data(), lda, b.data(),
+                     ldb, want.data(), ldc);
         CallSgemm(v, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, got.data(),
                   ldc);
         ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
                                  got.size() * sizeof(float)))
-            << TierName(tier) << " variant=" << static_cast<int>(v)
+            << GemmPathName(path) << " variant=" << static_cast<int>(v)
             << " m=" << s.m << " n=" << s.n << " k=" << s.k
             << " pad=" << s.pad;
       }
@@ -657,8 +706,8 @@ TEST(KernelsTest, SgemmIsLeadingDimensionInvariant) {
   // is the property the transformer fast path's strided per-head views
   // rely on.
   const int m = 33, n = 49, k = 37;
-  for (Tier tier : AvailableTiers()) {
-    ForcedTier forced(tier);
+  for (GemmPath path : AvailableGemmPaths()) {
+    ForcedGemmPath forced(path);
     for (Variant v : {Variant::kNN, Variant::kNT, Variant::kTN}) {
       const int ar = (v == Variant::kTN) ? k : m;
       const int ac = (v == Variant::kTN) ? m : k;
@@ -689,7 +738,7 @@ TEST(KernelsTest, SgemmIsLeadingDimensionInvariant) {
                 c2.data(), n);
       ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                                c1.size() * sizeof(float)))
-          << TierName(tier) << " variant=" << static_cast<int>(v);
+          << GemmPathName(path) << " variant=" << static_cast<int>(v);
     }
   }
 }
@@ -701,8 +750,8 @@ TEST(KernelsTest, ParallelMatMulBitIdenticalToSerial) {
   nn::Matrix a(m, k), b(k, n);
   for (int i = 0; i < m * k; ++i) a.data()[i] = TestValue(i);
   for (int i = 0; i < k * n; ++i) b.data()[i] = TestValue(i + 31337);
-  for (Tier tier : AvailableTiers()) {
-    ForcedTier forced(tier);
+  for (GemmPath path : AvailableGemmPaths()) {
+    ForcedGemmPath forced(path);
     nn::Matrix serial(m, n);
     nn::MatMulAccum(a, b, serial);
     for (size_t threads : {2u, 4u, 7u}) {
@@ -713,18 +762,15 @@ TEST(KernelsTest, ParallelMatMulBitIdenticalToSerial) {
       nn::SetMatMulThreadPool(nullptr);
       ASSERT_EQ(0, std::memcmp(serial.data(), parallel.data(),
                                serial.size() * sizeof(float)))
-          << TierName(tier) << " threads=" << threads;
+          << GemmPathName(path) << " threads=" << threads;
     }
   }
 }
 
-TEST(KernelsTest, EncoderFastPathBitIdenticalToGraph) {
-  // The allocation-free EncodeToVector must reproduce the autograd graph
-  // forward bit for bit, in both tiers and both position modes, at the
-  // default shape and at the MPNetSim shape (d_model 64, d_ff 256,
-  // relative bias with radius 8). The lengths cover every microkernel row
-  // tail (L % 4), both ends of the relative-bias row, and truncation
-  // (74 > max_seq_len 64).
+// The two model shapes the tests train and serve: the default config
+// (DistilSim's d_model 48) in both position modes, and the MPNetSim shape
+// (d_model 64, d_ff 256, relative bias with radius 8).
+std::vector<nn::TransformerConfig> EncoderShapes() {
   nn::TransformerConfig abs_cfg;
   abs_cfg.position_mode = nn::PositionMode::kAbsolute;
   nn::TransformerConfig rel_cfg;
@@ -733,16 +779,28 @@ TEST(KernelsTest, EncoderFastPathBitIdenticalToGraph) {
   mpnet_cfg.d_model = 64;
   mpnet_cfg.d_ff = 256;
   mpnet_cfg.rel_radius = 8;
-  for (nn::TransformerConfig tc : {abs_cfg, rel_cfg, mpnet_cfg}) {
-    tc.vocab_size = 97;
+  std::vector<nn::TransformerConfig> shapes = {abs_cfg, rel_cfg, mpnet_cfg};
+  for (auto& tc : shapes) tc.vocab_size = 97;
+  return shapes;
+}
+
+TEST(KernelsTest, EncoderFastPathBitIdenticalToGraph) {
+  // The allocation-free EncodeToVector must reproduce the autograd graph
+  // forward bit for bit, on every GEMM path and in both position modes.
+  // The 8-lane and 16-lane GEMM paths must also agree with each other
+  // bit for bit. The lengths cover every microkernel row tail (L % 8),
+  // both ends of the relative-bias row, and truncation (74 > max_seq_len
+  // 64).
+  for (const nn::TransformerConfig& tc : EncoderShapes()) {
     nn::TransformerEncoder enc(tc);
     for (int len : {1, 2, 5, 8, 17, 37, 63, 64, 74}) {
       std::vector<u32> ids;
       for (int i = 0; i < len; ++i) {
         ids.push_back(static_cast<u32>((i * 13) % 97));
       }
-      for (Tier tier : AvailableTiers()) {
-        ForcedTier forced(tier);
+      std::vector<float> avx2_out;
+      for (GemmPath path : AvailableGemmPaths()) {
+        ForcedGemmPath forced(path);
         std::vector<float> graph_out;
         {
           nn::NoGradGuard guard;
@@ -754,7 +812,7 @@ TEST(KernelsTest, EncoderFastPathBitIdenticalToGraph) {
         enc.EncodeToVector(ids, fast_out.data());
         ASSERT_EQ(0, std::memcmp(graph_out.data(), fast_out.data(),
                                  graph_out.size() * sizeof(float)))
-            << TierName(tier) << " d_model=" << tc.d_model << " mode="
+            << GemmPathName(path) << " d_model=" << tc.d_model << " mode="
             << (tc.position_mode == nn::PositionMode::kAbsolute ? "abs"
                                                                 : "rel")
             << " L=" << len;
@@ -762,8 +820,56 @@ TEST(KernelsTest, EncoderFastPathBitIdenticalToGraph) {
         const std::vector<float> vec_out = enc.EncodeToVector(ids);
         ASSERT_EQ(0, std::memcmp(graph_out.data(), vec_out.data(),
                                  graph_out.size() * sizeof(float)));
+        if (path == GemmPath::kAvx2) avx2_out = fast_out;
+        if (path == GemmPath::kAvx512) {
+          ASSERT_EQ(0, std::memcmp(avx2_out.data(), fast_out.data(),
+                                   fast_out.size() * sizeof(float)))
+              << "16-lane vs 8-lane GEMM, d_model=" << tc.d_model
+              << " L=" << len;
+        }
       }
     }
+  }
+}
+
+// One AdamW step from the same initial weights on each AVX2 GEMM path.
+// Its backward runs SgemmNT and SgemmTN, so this covers every variant
+// through autograd: the parameters must come out byte-equal.
+TEST(KernelsTest, TrainingStepBitIdenticalAcrossGemmPaths) {
+  const std::vector<GemmPath> paths = AvailableGemmPaths();
+  if (paths.back() != GemmPath::kAvx512) {
+    GTEST_SKIP() << "host has one AVX2 GEMM path";
+  }
+  for (const nn::TransformerConfig& tc : EncoderShapes()) {
+    std::vector<std::vector<float>> params_by_path;
+    for (GemmPath path : {GemmPath::kAvx2, GemmPath::kAvx512}) {
+      ForcedGemmPath forced(path);
+      nn::TransformerEncoder enc(tc);
+      nn::AdamW opt(enc.params().params(), nn::AdamConfig{});
+      std::vector<nn::VarPtr> xs, ys;
+      for (int s = 0; s < 4; ++s) {
+        std::vector<u32> x, y;
+        for (int i = 0; i < 9 + 7 * s; ++i) {
+          x.push_back(static_cast<u32>((i * 13 + s) % 97));
+          y.push_back(static_cast<u32>((i * 29 + 3 * s) % 97));
+        }
+        xs.push_back(enc.Encode(x));
+        ys.push_back(enc.Encode(y));
+      }
+      nn::Backward(nn::MultipleNegativesRankingLoss(xs, ys, 10.0f));
+      opt.Step(1.0);
+      std::vector<float> flat;
+      for (const nn::VarPtr& p : enc.params().params()) {
+        const nn::Matrix& w = p->value();
+        flat.insert(flat.end(), w.data(), w.data() + w.size());
+      }
+      params_by_path.push_back(std::move(flat));
+    }
+    ASSERT_EQ(params_by_path[0].size(), params_by_path[1].size());
+    EXPECT_EQ(0, std::memcmp(params_by_path[0].data(),
+                             params_by_path[1].data(),
+                             params_by_path[0].size() * sizeof(float)))
+        << "d_model=" << tc.d_model;
   }
 }
 

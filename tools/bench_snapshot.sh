@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Records benchmark snapshots at the repo root: BENCH_micro.json (kernel /
-# encoder / search micro-benchmarks), BENCH_churn.json (live-index churn),
-# and BENCH_serve.json (serving-layer rate sweep from tools/dj_loadgen).
+# encoder / search micro-benchmarks), BENCH_churn.json (live-index churn)
+# and BENCH_scale.json (quantized and mapped stores). The served pipeline
+# is measured by e2ebench (`python3 e2ebench/run.py`), not here.
 #
 # Runs the kernel, GEMM, and encoder micro-benchmarks from bench_micro
-# (both dispatch tiers are covered inside the binary via the tier arg) and
+# (the dispatch tiers and GEMM paths are covered inside the binary via
+# the trailing benchmark arg) and
 # writes google-benchmark's JSON output. Commit the refreshed files when
 # performance-relevant code changes so the before/after numbers travel with
 # the code.
@@ -41,7 +43,7 @@ for bin in "$MICRO_BIN" "$CHURN_BIN"; do
   fi
 done
 
-FILTER='BM_Kernel|BM_Sgemm|BM_NaiveGemm|BM_EncodeToVector|BM_HnswSearch|BM_PlmEncodeColumn|BM_SearcherSteadyState|BM_FlatSearchBatch'
+FILTER='BM_Kernel|BM_Sgemm|BM_NaiveGemm|BM_ForwardBlocks|BM_EncodeToVector|BM_HnswSearch|BM_PlmEncodeColumn|BM_SearcherSteadyState|BM_FlatSearchBatch'
 OUT="$ROOT/BENCH_micro.json"
 
 "$MICRO_BIN" \
@@ -62,25 +64,6 @@ CHURN_OUT="$ROOT/BENCH_churn.json"
   "$@"
 
 echo "bench_snapshot: wrote $CHURN_OUT"
-
-# BENCH_serve.json (DESIGN.md §13): offered-rate sweep against the
-# QueryService on a flat-backend corpus sized past cache, where
-# single-query scans are memory-bound and batched scans stay
-# compute-bound. The derived figures are the serving-layer acceptance
-# bar: saturation_speedup >= 3 (batched goodput over single-query
-# throughput) and low_rate_p99_ratio <= 2 (batching latency tax at low
-# load). Override the corpus with DJ_LOADGEN_ARGS for quick smokes.
-SERVE_BIN="$BUILD/tools/dj_loadgen"
-if [[ ! -x "$SERVE_BIN" ]]; then
-  echo "bench_snapshot: $SERVE_BIN not built (cmake --build $BUILD --target dj_loadgen)" >&2
-  exit 1
-fi
-SERVE_OUT="$ROOT/BENCH_serve.json"
-# shellcheck disable=SC2086
-"$SERVE_BIN" ${DJ_LOADGEN_ARGS:---repo=250000 --dim=256 --secs=5 \
-  --rates=0.25,1,2,4,8 --max-batch=64} --metrics --out="$SERVE_OUT"
-
-echo "bench_snapshot: wrote $SERVE_OUT"
 
 # BENCH_scale.json (DESIGN.md §14): the beyond-RAM matrix — {float,SQ8} x
 # {owned,mapped} open latency, resident bytes, and recall (plus the
