@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "ann/index_io.h"
-#include "util/crc32c.h"
 #include "util/metrics.h"
 #include "util/timer.h"
 
@@ -13,56 +12,6 @@ namespace deepjoin {
 namespace core {
 
 namespace {
-
-// ---- Live-directory on-disk formats (DESIGN.md §12) ----
-//
-// MANIFEST (AtomicSave'd DJF1 container): the commit point. Naming
-// generation G makes index-G.dj + wal-G.log the authoritative state; the
-// previous generation's artifacts are retained until the generation after
-// next publishes, so recovery always has a fallback.
-constexpr u32 kManifestMagic = 0x444A4D46;  // "DJMF"
-constexpr u32 kManifestVersion = 1;
-// index-<gen>.dj (AtomicSave'd DJF1 container): next_column_id, the
-// optional id->column map, then the embedded index as a DJIX payload
-// (ann::SaveIndexPayload). Checkpoints written before the unified format
-// embedded the legacy standalone-HNSW payload instead; recovery reads
-// both (ann::LoadIndexPayload dispatches on the embedded magic).
-constexpr u32 kCheckpointMagic = 0x444A434B;  // "DJCK"
-constexpr u32 kCheckpointVersion = 1;
-// wal-<gen>.log (raw appends, fsync'd per record): a 16-byte header
-// [magic:u32 version:u32 generation:u64] then records framed as
-// [len:u32][crc32c(payload):u32][payload]. payload := tag:u8 data. A torn
-// tail (incomplete frame or CRC mismatch at the end) is ignored on replay,
-// exactly like a write the crash interrupted.
-constexpr u32 kWalMagic = 0x444A574C;  // "DJWL"
-constexpr u32 kWalVersion = 1;
-constexpr size_t kWalHeaderBytes = 16;
-constexpr u8 kWalInsert = 1;  // u32 column_id, i32 level, float[dim]
-constexpr u8 kWalRemove = 2;  // u32 index_id
-
-void PutU32(std::string* s, u32 v) {
-  char b[sizeof(v)];
-  std::memcpy(b, &v, sizeof(v));
-  s->append(b, sizeof(v));
-}
-
-void PutU64(std::string* s, u64 v) {
-  char b[sizeof(v)];
-  std::memcpy(b, &v, sizeof(v));
-  s->append(b, sizeof(v));
-}
-
-u32 GetU32(const char* p) {
-  u32 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-u64 GetU64(const char* p) {
-  u64 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 ann::AnnSearchParams AnnParamsFrom(const SearchOptions& options) {
   ann::AnnSearchParams params;
@@ -126,26 +75,6 @@ metrics::Gauge* TombstonesGauge() {
   return g;
 }
 
-metrics::Histogram* PublishHistogram() {
-  static metrics::Histogram* const h =
-      metrics::MetricsRegistry::Global().GetHistogram("dj_snapshot_publish_ms");
-  return h;
-}
-
-metrics::Counter* WalRecordsCounter() {
-  static metrics::Counter* const c =
-      metrics::MetricsRegistry::Global().GetCounter("dj_wal_records_total");
-  return c;
-}
-
-// Physical WAL fsyncs. records/syncs is the group-commit amortisation
-// ratio: 1.0 with per-record syncs, > 1 once commits batch.
-metrics::Counter* WalSyncsCounter() {
-  static metrics::Counter* const c =
-      metrics::MetricsRegistry::Global().GetCounter("dj_wal_syncs_total");
-  return c;
-}
-
 // Per-thread query scratch for the allocation-free search path: every
 // buffer grows to its working size during warmup and then reuses capacity.
 struct QueryScratch {
@@ -170,18 +99,6 @@ void EmbeddingSearcher::Publish(std::shared_ptr<const IndexSnapshot> snap) {
     snapshot_ = std::move(snap);
   }
   SwapsCounter()->Increment();
-}
-
-std::string EmbeddingSearcher::ManifestPath() const {
-  return dir_ + "/MANIFEST";
-}
-
-std::string EmbeddingSearcher::IndexPath(u64 gen) const {
-  return dir_ + "/index-" + std::to_string(gen) + ".dj";
-}
-
-std::string EmbeddingSearcher::WalPath(u64 gen) const {
-  return dir_ + "/wal-" + std::to_string(gen) + ".log";
 }
 
 template <typename ColumnAt>
@@ -214,13 +131,13 @@ Status EmbeddingSearcher::BuildIndex(const lake::Repository& repo,
     const size_t n = repo.size();
     const size_t dim = static_cast<size_t>(dim_);
     std::vector<float> embeddings(n * dim);
-    // Flat (float rows) and HNSW take rows one at a time, so with a pool
-    // each finished chunk is inserted while later chunks encode. Rows still
-    // go in as 0..n-1, so the index equals an encode-then-add build. IVFPQ
-    // and an SQ8 flat store train on the whole batch before adding any.
+    // Flat and HNSW take rows one at a time, so with a pool each finished
+    // chunk is inserted while later chunks encode. Rows still go in as
+    // 0..n-1, so the index equals an encode-then-add build. IVFPQ trains
+    // on the whole batch before adding any.
     switch (config_.backend) {
       case AnnBackend::kFlat:
-        index = std::make_shared<ann::FlatIndex>(dim_, config_.flat_storage);
+        index = std::make_shared<ann::FlatIndex>(dim_);
         break;
       case AnnBackend::kHnsw:
         index = std::make_shared<ann::HnswIndex>(
@@ -229,16 +146,11 @@ Status EmbeddingSearcher::BuildIndex(const lake::Repository& repo,
       case AnnBackend::kIvfPq:
         break;
     }
-    const bool streams =
-        pool != nullptr &&
-        (config_.backend == AnnBackend::kHnsw ||
-         (config_.backend == AnnBackend::kFlat &&
-          config_.flat_storage == ann::StorageKind::kFloat));
     size_t added = 0;  // rows [0, added) are in the index
     {
       DJ_TRACE_SPAN("searcher.build_encode");
       std::function<void(size_t, size_t)> insert;
-      if (streams) {
+      if (pool != nullptr && index != nullptr) {
         insert = [&](size_t lo, size_t hi) {
           index->AddBatch(embeddings.data() + lo * dim, hi - lo);
           added = hi;
@@ -270,25 +182,7 @@ Status EmbeddingSearcher::BuildIndex(const lake::Repository& repo,
   Status publish_st = Status::OK();
   {
     const WriterLock writer(this);
-    next_column_id_ = static_cast<u32>(repo.size());
-    col_to_index_.clear();
-    col_to_index_.reserve(repo.size());
-    for (u32 i = 0; i < static_cast<u32>(repo.size()); ++i) {
-      col_to_index_[i] = i;
-    }
-    map_.reset();
-    Publish(std::make_shared<const IndexSnapshot>(
-        IndexSnapshot{std::move(index), nullptr, generation_}));
-    if (LiveLocked()) {
-      // The open WAL describes mutations against the index this build just
-      // replaced — appending to it would make recovery replay new records
-      // on top of the old checkpoint. Poison it so no record lands there,
-      // then publish the rebuilt state as a fresh generation. On failure
-      // the previous generation stays the durable state and the poison
-      // makes the next mutation retry the publish first.
-      wal_poisoned_ = true;
-      publish_st = RepairWalLocked();
-    }
+    publish_st = ReplaceIndexLocked(std::move(index));
   }
   {
     static metrics::Counter* const builds =
@@ -317,33 +211,68 @@ Status EmbeddingSearcher::EnsureIndexLocked() {
   }
   std::shared_ptr<ann::VectorIndex> index;
   if (config_.backend == AnnBackend::kFlat) {
-    index = std::make_shared<ann::FlatIndex>(dim_, config_.flat_storage);
+    index = std::make_shared<ann::FlatIndex>(dim_);
   } else {
     index = std::make_shared<ann::HnswIndex>(MakeHnswConfig(config_, dim_, 0));
   }
-  next_column_id_ = 0;
-  col_to_index_.clear();
-  map_.reset();
-  Publish(std::make_shared<const IndexSnapshot>(
-      IndexSnapshot{std::move(index), nullptr, generation_}));
+  InstallLocked(std::move(index), nullptr, 0);
   return Status::OK();
 }
 
-IndexSnapshot EmbeddingSearcher::CurrentStateLocked(u64 gen) const {
-  auto snap = PinSnapshot();
-  DJ_CHECK_MSG(snap != nullptr, "CurrentStateLocked with no index");
-  return IndexSnapshot{snap->index, map_, gen};
+void EmbeddingSearcher::InstallLocked(std::shared_ptr<ann::VectorIndex> index,
+                                      std::shared_ptr<IdMap> map,
+                                      u32 next_column_id) {
+  auto snap = std::make_shared<const IndexSnapshot>(IndexSnapshot{
+      std::move(index), map, store_ != nullptr ? store_->generation() : 0});
+  const u32 n = static_cast<u32>(snap->index->size());
+  col_to_index_.clear();
+  col_to_index_.reserve(n);
+  for (u32 id = 0; id < n; ++id) {
+    if (!snap->index->IsDeleted(id)) col_to_index_[snap->ColumnOf(id)] = id;
+  }
+  next_column_id_ = next_column_id;
+  map_ = std::move(map);
+  TombstonesGauge()->Set(static_cast<double>(snap->index->deleted_count()));
+  Publish(std::move(snap));
+}
+
+Status EmbeddingSearcher::ReplaceIndexLocked(
+    std::shared_ptr<ann::VectorIndex> index) {
+  const u32 n = static_cast<u32>(index->size());
+  InstallLocked(std::move(index), nullptr, n);
+  if (store_ == nullptr) return Status::OK();
+  // Appending to the open WAL would make recovery replay new records on
+  // top of the replaced index's checkpoint. On a publish failure the
+  // previous generation stays the durable state and the next mutation
+  // retries the publish first.
+  store_->InvalidateLog();
+  return PrepareLogLocked();
+}
+
+Status EmbeddingSearcher::CommitLocked(std::shared_ptr<ann::VectorIndex> index,
+                                       std::shared_ptr<IdMap> map) {
+  if (store_ != nullptr) {
+    DJ_RETURN_IF_ERROR(store_->Publish(*index, map.get(), next_column_id_));
+  }
+  InstallLocked(std::move(index), std::move(map), next_column_id_);
+  return Status::OK();
+}
+
+Status EmbeddingSearcher::PrepareLogLocked() {
+  if (store_ == nullptr || store_->log_ok()) return Status::OK();
+  // Until this publish succeeds every mutation keeps failing, while
+  // searches and the durable previous generation stay intact.
+  return CommitLocked(PinSnapshot()->index, map_);
 }
 
 Result<u32> EmbeddingSearcher::AddColumn(const lake::Column& column) {
   u64 lsn = 0;
   Result<u32> res = AddColumnImpl(column, &lsn);
-  if (res.ok() && lsn != 0) {
+  if (lsn != 0) {
     // Group commit: the record is appended and the mutation applied, but
     // the acknowledgement waits — outside the writer token, so concurrent
     // mutators pile onto the same fsync — until the record is durable.
-    DJ_RETURN_IF_ERROR(
-        committer_.WaitDurable(lsn, config_.wal_commit_window_ms));
+    DJ_RETURN_IF_ERROR(store_->WaitDurable(lsn));
   }
   return res;
 }
@@ -352,35 +281,39 @@ Result<u32> EmbeddingSearcher::AddColumnImpl(const lake::Column& column,
                                              u64* lsn) {
   const WriterLock writer(this);
   DJ_RETURN_IF_ERROR(EnsureIndexLocked());
-  if (LiveLocked()) {
-    DJ_RETURN_IF_ERROR(RepairWalLocked());
-  }
   auto snap = PinSnapshot();
+  ann::HnswIndex* hnsw = config_.backend == AnnBackend::kHnsw
+                             ? static_cast<ann::HnswIndex*>(snap->index.get())
+                             : nullptr;
+  // Check that the insert can apply before it is logged: replay re-applies
+  // every logged record, so a logged insert that failed would come back.
+  if (hnsw != nullptr && hnsw->read_only()) {
+    return Status::FailedPrecondition(
+        "AddColumn on a read-only index (opened mapped or SQ8): load it as "
+        "owned float storage to mutate it");
+  }
+  if (hnsw != nullptr && hnsw->size() >= hnsw->capacity()) {
+    return Status::FailedPrecondition(
+        "hnsw index full (" + std::to_string(hnsw->capacity()) +
+        " elements): Compact() or rebuild with a larger hnsw_max_elements");
+  }
+  DJ_RETURN_IF_ERROR(PrepareLogLocked());
   const u32 col = next_column_id_;
   const std::vector<float> v = encoder_->Encode(column);
-  u32 id = 0;
-  if (config_.backend == AnnBackend::kHnsw) {
-    auto* hnsw = static_cast<ann::HnswIndex*>(snap->index.get());
-    if (hnsw->size() >= hnsw->capacity()) {
-      return Status::FailedPrecondition(
-          "hnsw index full (" + std::to_string(hnsw->capacity()) +
-          " elements): Compact() or rebuild with a larger "
-          "hnsw_max_elements");
-    }
-    // Durability order: draw the level, make the record durable, then
-    // apply — the WAL always describes the graph (recorded levels make
-    // replay bit-identical), and a logged-but-unapplied record is exactly
-    // what replay handles.
+  u32 id = static_cast<u32>(snap->index->size());
+  if (hnsw != nullptr) {
+    // Draw the level, log, then apply: recorded levels make replay
+    // bit-identical.
     const i32 level = hnsw->DrawLevel();
-    if (LiveLocked()) {
-      DJ_RETURN_IF_ERROR(WalAppendInsert(col, level, v, lsn));
+    if (store_ != nullptr) {
+      DJ_RETURN_IF_ERROR(store_->LogInsert(col, level, v.data(), lsn));
     }
     // IdMap before index: readers that see the published id must find its
     // mapping (the index's release-store of the count is the fence).
     if (map_ != nullptr) map_->Append(col);
-    DJ_RETURN_IF_ERROR(hnsw->InsertWithLevel(v.data(), level, &id));
+    const Status st = hnsw->InsertWithLevel(v.data(), level, &id);
+    DJ_CHECK_MSG(st.ok(), "hnsw insert failed after its checks passed");
   } else {
-    id = static_cast<u32>(snap->index->size());
     snap->index->Add(v.data());
   }
   if (map_ == nullptr) {
@@ -395,10 +328,7 @@ Result<u32> EmbeddingSearcher::AddColumnImpl(const lake::Column& column,
 Status EmbeddingSearcher::RemoveColumn(u32 column_id) {
   u64 lsn = 0;
   DJ_RETURN_IF_ERROR(RemoveColumnImpl(column_id, &lsn));
-  if (lsn != 0) {
-    DJ_RETURN_IF_ERROR(
-        committer_.WaitDurable(lsn, config_.wal_commit_window_ms));
-  }
+  if (lsn != 0) DJ_RETURN_IF_ERROR(store_->WaitDurable(lsn));
   return Status::OK();
 }
 
@@ -409,9 +339,8 @@ Status EmbeddingSearcher::RemoveColumnImpl(u32 column_id, u64* lsn) {
     return Status::FailedPrecondition(
         "RemoveColumn before BuildIndex()/AddColumn()");
   }
-  if (LiveLocked()) {
-    DJ_RETURN_IF_ERROR(RepairWalLocked());
-  }
+  // May rebuild col_to_index_ (a publish reinstalls), so look up after it.
+  DJ_RETURN_IF_ERROR(PrepareLogLocked());
   const auto it = col_to_index_.find(column_id);
   if (it == col_to_index_.end()) {
     return Status::NotFound("column " + std::to_string(column_id) +
@@ -419,9 +348,7 @@ Status EmbeddingSearcher::RemoveColumnImpl(u32 column_id, u64* lsn) {
                             "removed)");
   }
   const u32 id = it->second;
-  if (LiveLocked()) {
-    DJ_RETURN_IF_ERROR(WalAppendRemove(id, lsn));
-  }
+  if (store_ != nullptr) DJ_RETURN_IF_ERROR(store_->LogRemove(id, lsn));
   DJ_RETURN_IF_ERROR(snap->index->Remove(id));
   col_to_index_.erase(it);
   DeletesCounter()->Increment();
@@ -477,42 +404,21 @@ Status EmbeddingSearcher::CompactLocked() {
   auto compacted =
       std::make_shared<ann::HnswIndex>(hnsw->CompactedCopy(&new_to_old));
   auto map = std::make_shared<IdMap>(compacted->capacity());
-  std::unordered_map<u32, u32> col_map;
-  col_map.reserve(new_to_old.size());
-  for (u32 nid = 0; nid < static_cast<u32>(new_to_old.size()); ++nid) {
-    const u32 col = snap->to_column != nullptr
-                        ? snap->to_column->At(new_to_old[nid])
-                        : new_to_old[nid];
-    map->Append(col);
-    col_map[col] = nid;
-  }
-  IndexSnapshot next{std::move(compacted), map, generation_};
-  if (LiveLocked()) {
-    // Publish the compacted state as a durable generation BEFORE the
-    // in-memory swap: a failure (or crash) leaves both disk and memory on
-    // the previous, fully-consistent generation.
-    next.generation = generation_ + 1;
-    DJ_RETURN_IF_ERROR(PublishGenerationLocked(next));
-    wal_poisoned_ = false;
-  }
-  map_ = std::move(map);
-  col_to_index_ = std::move(col_map);
-  Publish(std::make_shared<const IndexSnapshot>(std::move(next)));
+  for (const u32 old_id : new_to_old) map->Append(snap->ColumnOf(old_id));
+  // Live: the compacted state is published as a durable generation BEFORE
+  // the in-memory swap, so a failure (or crash) leaves both disk and
+  // memory on the previous, fully-consistent generation.
+  DJ_RETURN_IF_ERROR(CommitLocked(std::move(compacted), std::move(map)));
   CompactionsCounter()->Increment();
-  TombstonesGauge()->Set(0.0);
   return Status::OK();
 }
 
 Status EmbeddingSearcher::PublishSnapshot() {
   const WriterLock writer(this);
-  if (!LiveLocked()) {
+  if (store_ == nullptr) {
     return Status::FailedPrecondition("PublishSnapshot requires OpenLive()");
   }
-  IndexSnapshot next = CurrentStateLocked(generation_ + 1);
-  DJ_RETURN_IF_ERROR(PublishGenerationLocked(next));
-  wal_poisoned_ = false;
-  Publish(std::make_shared<const IndexSnapshot>(std::move(next)));
-  return Status::OK();
+  return CommitLocked(PinSnapshot()->index, map_);
 }
 
 void EmbeddingSearcher::AcquireWriter() const {
@@ -530,7 +436,8 @@ void EmbeddingSearcher::ReleaseWriter() const {
 }
 
 u64 EmbeddingSearcher::generation() const {
-  return generation_.load(std::memory_order_relaxed);
+  const auto snap = PinSnapshot();
+  return snap != nullptr ? snap->generation : 0;
 }
 
 Status EmbeddingSearcher::OpenLive(const std::string& dir, Env* env) {
@@ -539,434 +446,29 @@ Status EmbeddingSearcher::OpenLive(const std::string& dir, Env* env) {
         "OpenLive supports the HNSW backend only");
   }
   const WriterLock writer(this);
-  if (LiveLocked()) {
+  if (store_ != nullptr) {
     return Status::FailedPrecondition("OpenLive: searcher is already live");
   }
-  env_ = env != nullptr ? env : Env::Default();
-  dir_ = dir;
-  Status st = env_->CreateDir(dir_);
-  if (st.ok()) {
-    if (env_->FileExists(ManifestPath())) {
-      st = RecoverLocked();
-    } else {
-      // Fresh directory: persist whatever is in memory (an empty index
-      // when the searcher is fresh too).
-      st = EnsureIndexLocked();
-    }
+  auto store = std::make_unique<LiveStore>(dir, env, dim_,
+                                           config_.wal_group_commit,
+                                           config_.wal_commit_window_ms);
+  LiveStore::State recovered;
+  DJ_RETURN_IF_ERROR(store->Open(&recovered));
+  if (recovered.index != nullptr) {
+    InstallLocked(std::move(recovered.index), std::move(recovered.map),
+                  recovered.next_column_id);
+  } else {
+    // Fresh directory: persist whatever is in memory (an empty index
+    // when the searcher is fresh too).
+    DJ_RETURN_IF_ERROR(EnsureIndexLocked());
   }
-  if (st.ok()) {
-    // Roll the recovered (or initial) state forward as a new generation:
-    // the WAL cannot be re-opened for append (NewWritableFile truncates),
-    // so a fresh checkpoint + fresh WAL re-establishes durability.
-    IndexSnapshot next = CurrentStateLocked(generation_ + 1);
-    st = PublishGenerationLocked(next);
-    if (st.ok()) {
-      Publish(std::make_shared<const IndexSnapshot>(std::move(next)));
-    }
-  }
-  if (!st.ok()) {
-    // Leave the searcher in-memory only; the directory is untouched
-    // beyond best-effort artifacts a future OpenLive overwrites.
-    dir_.clear();
-    env_ = nullptr;
-    wal_.reset();
-    wal_poisoned_ = false;
-    return st;
-  }
-  return Status::OK();
-}
-
-Status EmbeddingSearcher::PublishGenerationLocked(const IndexSnapshot& state) {
-  WallTimer timer;
-  if (config_.wal_group_commit) {
-    // Wait out any in-flight group fsync before the WAL file it targets
-    // can be retired below.
-    committer_.Drain();
-  }
-  const u64 gen = state.generation;
-  const std::string index_path = IndexPath(gen);
-  const u64 next_col = next_column_id_;
-  // 1. Checkpoint (atomic: tmp + fsync + rename).
-  Status st = AtomicSave(
-      index_path, env_, [&](BinaryWriter& w) -> Status {
-        w.WriteU32(kCheckpointMagic);
-        w.WriteU32(kCheckpointVersion);
-        w.WriteU64(next_col);
-        w.WriteU32(state.to_column != nullptr ? 1 : 0);
-        if (state.to_column != nullptr) {
-          std::vector<u32> flat(state.to_column->size());
-          for (u32 i = 0; i < static_cast<u32>(flat.size()); ++i) {
-            flat[i] = state.to_column->At(i);
-          }
-          w.WriteU32Array(flat.data(), flat.size());
-        }
-        return ann::SaveIndexPayload(*state.index, w);
-      });
-  if (!st.ok()) return st;
-  // 2. Fresh WAL for the new generation (header written + fsync'd so the
-  // file is well-formed before the manifest can name it).
-  std::unique_ptr<WritableFile> wal;
-  st = env_->NewWritableFile(WalPath(gen), &wal);
-  if (st.ok()) {
-    std::string header;
-    PutU32(&header, kWalMagic);
-    PutU32(&header, kWalVersion);
-    PutU64(&header, gen);
-    st = wal->Append(header.data(), header.size());
-    if (st.ok()) st = wal->Sync();
-  }
-  if (!st.ok()) {
-    env_->RemoveFile(index_path).IgnoreError();
-    return st;
-  }
-  // 3. Commit: flip the MANIFEST. Until this rename lands, recovery sees
-  // the previous generation; after it, the new one.
-  st = AtomicSave(
-      ManifestPath(), env_, [&](BinaryWriter& w) -> Status {
-        w.WriteU32(kManifestMagic);
-        w.WriteU32(kManifestVersion);
-        w.WriteU64(gen);
-        w.WriteU64(generation_);  // retained fallback generation
-        return w.status();
-      });
-  if (!st.ok()) {
-    env_->RemoveFile(index_path).IgnoreError();
-    env_->RemoveFile(WalPath(gen)).IgnoreError();
-    return st;
-  }
-  // 4. Committed. Retire the grandparent (best-effort: stray files are
-  // harmless and get overwritten if their generation number recurs).
-  if (prev_generation_ != 0) {
-    env_->RemoveFile(IndexPath(prev_generation_)).IgnoreError();
-    env_->RemoveFile(WalPath(prev_generation_)).IgnoreError();
-  }
-  wal_ = std::move(wal);
-  if (config_.wal_group_commit) {
-    // The checkpoint above captured every applied mutation, so Reset
-    // marks all outstanding LSNs durable and rebinds to the fresh WAL.
-    committer_.Reset(wal_.get());
-  }
-  prev_generation_ = generation_;
-  generation_ = gen;
-  PublishHistogram()->Record(timer.ElapsedMillis());
-  return Status::OK();
-}
-
-Status EmbeddingSearcher::RepairWalLocked() {
-  if (config_.wal_group_commit && !committer_.Error().ok()) {
-    // A shared fsync failed after its records were appended: the log may
-    // end in frames that were never made durable. Same remedy as a torn
-    // append — roll a fresh generation.
-    wal_poisoned_ = true;
-  }
-  if (!wal_poisoned_) return Status::OK();
-  // A WAL append failed mid-record, so the log may end in a torn frame —
-  // appending more records after it would make them unreachable on replay
-  // (replay stops at the first bad frame). Roll a fresh generation; until
-  // that succeeds every mutation keeps failing while searches and the
-  // durable previous generation stay intact.
-  IndexSnapshot next = CurrentStateLocked(generation_ + 1);
-  DJ_RETURN_IF_ERROR(PublishGenerationLocked(next));
-  wal_poisoned_ = false;
-  Publish(std::make_shared<const IndexSnapshot>(std::move(next)));
-  return Status::OK();
-}
-
-Status EmbeddingSearcher::RecoverLocked() {
-  BinaryReader reader(ManifestPath(), env_);
-  DJ_RETURN_IF_ERROR(reader.Open());
-  u32 magic = 0;
-  u32 version = 0;
-  DJ_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  if (magic != kManifestMagic) {
-    return Status::DataLoss("MANIFEST: bad magic");
-  }
-  DJ_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (version != kManifestVersion) {
-    return Status::DataLoss("MANIFEST: unsupported version");
-  }
-  u64 gen = 0;
-  u64 prev = 0;
-  DJ_RETURN_IF_ERROR(reader.ReadU64(&gen));
-  DJ_RETURN_IF_ERROR(reader.ReadU64(&prev));
-  if (gen == 0) return Status::DataLoss("MANIFEST: generation 0");
-  Status st = RecoverGenerationLocked(gen, prev);
-  if (!st.ok() && prev != 0) {
-    // The newest generation is unusable (its publish may have been cut
-    // down by a crash after the manifest flip but... the manifest flip is
-    // the commit point, so in practice: corruption). Its predecessor is
-    // retained exactly for this.
-    st = RecoverGenerationLocked(prev, 0);
-  }
+  // A freshly opened store takes no record until it publishes, so this
+  // rolls the opened state forward as a new generation. On failure the
+  // searcher stays in-memory only.
+  store_ = std::move(store);
+  const Status st = PrepareLogLocked();
+  if (!st.ok()) store_.reset();
   return st;
-}
-
-Status EmbeddingSearcher::RecoverGenerationLocked(u64 gen, u64 manifest_prev) {
-  // ---- Checkpoint ----
-  BinaryReader reader(IndexPath(gen), env_);
-  DJ_RETURN_IF_ERROR(reader.Open());
-  u32 magic = 0;
-  u32 version = 0;
-  DJ_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  if (magic != kCheckpointMagic) {
-    return Status::DataLoss("checkpoint: bad magic");
-  }
-  DJ_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (version != kCheckpointVersion) {
-    return Status::DataLoss("checkpoint: unsupported version");
-  }
-  u64 next_col = 0;
-  DJ_RETURN_IF_ERROR(reader.ReadU64(&next_col));
-  u32 has_map = 0;
-  DJ_RETURN_IF_ERROR(reader.ReadU32(&has_map));
-  std::vector<u32> flat;
-  if (has_map != 0) {
-    DJ_RETURN_IF_ERROR(reader.ReadU32Array(&flat));
-  }
-  // The embedded index may be a DJIX payload (current checkpoints) or the
-  // legacy standalone HNSW payload (pre-DJIX checkpoints) — the dispatch
-  // handles both. Default OpenOptions produce a live owned-float index,
-  // which WAL replay below requires (InsertWithLevel).
-  auto loaded = ann::LoadIndexPayload(reader);
-  if (!loaded.ok()) return loaded.status();
-  std::unique_ptr<ann::VectorIndex> any = std::move(loaded).value();
-  if (std::strcmp(any->name(), "hnsw") != 0) {
-    return Status::DataLoss("checkpoint: embedded index is not hnsw");
-  }
-  std::shared_ptr<ann::HnswIndex> index(
-      static_cast<ann::HnswIndex*>(any.release()));
-  if (index->read_only()) {
-    return Status::DataLoss("checkpoint: embedded index is not replayable");
-  }
-  if (index->dim() != dim_) {
-    return Status::InvalidArgument("live checkpoint dimensionality mismatch");
-  }
-  if (has_map != 0 && flat.size() != index->size()) {
-    return Status::DataLoss("checkpoint: id map size mismatch");
-  }
-  std::shared_ptr<IdMap> map;
-  if (has_map != 0) {
-    map = std::make_shared<IdMap>(index->capacity());
-    for (const u32 c : flat) map->Append(c);
-  }
-  // ---- WAL replay ----
-  std::string wal;
-  DJ_RETURN_IF_ERROR(ReadFileToString(env_, WalPath(gen), &wal));
-  if (wal.size() < kWalHeaderBytes) {
-    return Status::DataLoss("WAL: truncated header");
-  }
-  if (GetU32(wal.data()) != kWalMagic ||
-      GetU32(wal.data() + 4) != kWalVersion) {
-    return Status::DataLoss("WAL: bad header");
-  }
-  if (GetU64(wal.data() + 8) != gen) {
-    return Status::DataLoss("WAL: generation mismatch");
-  }
-  const size_t vec_bytes = static_cast<size_t>(dim_) * sizeof(float);
-  std::vector<float> vec(static_cast<size_t>(dim_));
-  size_t off = kWalHeaderBytes;
-  while (wal.size() - off >= 8) {
-    const u32 len = GetU32(wal.data() + off);
-    const u32 crc = GetU32(wal.data() + off + 4);
-    if (static_cast<u64>(len) > wal.size() - off - 8) break;  // torn tail
-    const char* payload = wal.data() + off + 8;
-    // A bad CRC means the record (and therefore everything after it) was
-    // never durably acknowledged: stop, exactly like EOF.
-    if (Crc32c(payload, len) != crc) break;
-    if (len < 1) return Status::DataLoss("WAL: empty record");
-    const u8 tag = static_cast<u8>(payload[0]);
-    if (tag == kWalInsert) {
-      if (len != 9 + vec_bytes) {
-        return Status::DataLoss("WAL: bad insert record size");
-      }
-      const u32 col = GetU32(payload + 1);
-      const i32 level = static_cast<i32>(GetU32(payload + 5));
-      std::memcpy(vec.data(), payload + 9, vec_bytes);
-      u32 id = 0;
-      // Recorded levels replace the RNG draw, so the replayed graph is
-      // bit-identical to the pre-crash one.
-      const Status st = index->InsertWithLevel(vec.data(), level, &id);
-      if (!st.ok()) {
-        return Status::DataLoss("WAL replay insert failed: " + st.ToString());
-      }
-      if (map != nullptr) {
-        map->Append(col);
-      } else if (col != id) {
-        return Status::DataLoss("WAL: identity id mapping violated");
-      }
-      if (static_cast<u64>(col) + 1 > next_col) {
-        next_col = static_cast<u64>(col) + 1;
-      }
-    } else if (tag == kWalRemove) {
-      if (len != 5) return Status::DataLoss("WAL: bad remove record size");
-      const u32 id = GetU32(payload + 1);
-      if (id >= index->size()) {
-        return Status::DataLoss("WAL: remove of unknown id");
-      }
-      const Status st = index->Remove(id);
-      if (!st.ok()) {
-        return Status::DataLoss("WAL replay remove failed: " + st.ToString());
-      }
-    } else {
-      return Status::DataLoss("WAL: unknown record tag");
-    }
-    off += 8 + static_cast<size_t>(len);
-  }
-  // ---- Commit the recovered state ----
-  std::unordered_map<u32, u32> col_map;
-  const u32 n = static_cast<u32>(index->size());
-  for (u32 id = 0; id < n; ++id) {
-    if (index->IsDeleted(id)) continue;
-    col_map[map != nullptr ? map->At(id) : id] = id;
-  }
-  next_column_id_ = static_cast<u32>(
-      std::max<u64>(next_col, map != nullptr ? 0 : n));
-  col_to_index_ = std::move(col_map);
-  map_ = map;
-  generation_ = gen;
-  prev_generation_ = manifest_prev;
-  wal_.reset();
-  wal_poisoned_ = false;
-  TombstonesGauge()->Set(static_cast<double>(index->deleted_count()));
-  Publish(std::make_shared<const IndexSnapshot>(
-      IndexSnapshot{std::move(index), std::move(map), gen}));
-  return Status::OK();
-}
-
-Status EmbeddingSearcher::WalAppendInsert(u32 column_id, i32 level,
-                                          const std::vector<float>& vec,
-                                          u64* lsn) {
-  wal_buf_.clear();
-  wal_buf_.append(8, '\0');  // len + crc, patched below
-  wal_buf_.push_back(static_cast<char>(kWalInsert));
-  PutU32(&wal_buf_, column_id);
-  PutU32(&wal_buf_, static_cast<u32>(level));
-  wal_buf_.append(reinterpret_cast<const char*>(vec.data()),
-                  vec.size() * sizeof(float));
-  const u32 len = static_cast<u32>(wal_buf_.size() - 8);
-  const u32 crc = Crc32c(wal_buf_.data() + 8, len);
-  std::memcpy(&wal_buf_[0], &len, sizeof(len));
-  std::memcpy(&wal_buf_[4], &crc, sizeof(crc));
-  Status st = wal_->Append(wal_buf_.data(), wal_buf_.size());
-  if (st.ok()) {
-    WalRecordsCounter()->Increment();
-    if (config_.wal_group_commit) {
-      // Group commit: register the LSN now, fsync later (shared). The
-      // caller acknowledges only after WaitDurable(*lsn) succeeds.
-      *lsn = committer_.RecordAppended();
-    } else {
-      st = wal_->Sync();
-      if (st.ok()) WalSyncsCounter()->Increment();
-    }
-  }
-  if (!st.ok()) wal_poisoned_ = true;
-  return st;
-}
-
-Status EmbeddingSearcher::WalAppendRemove(u32 index_id, u64* lsn) {
-  wal_buf_.clear();
-  wal_buf_.append(8, '\0');
-  wal_buf_.push_back(static_cast<char>(kWalRemove));
-  PutU32(&wal_buf_, index_id);
-  const u32 len = static_cast<u32>(wal_buf_.size() - 8);
-  const u32 crc = Crc32c(wal_buf_.data() + 8, len);
-  std::memcpy(&wal_buf_[0], &len, sizeof(len));
-  std::memcpy(&wal_buf_[4], &crc, sizeof(crc));
-  Status st = wal_->Append(wal_buf_.data(), wal_buf_.size());
-  if (st.ok()) {
-    WalRecordsCounter()->Increment();
-    if (config_.wal_group_commit) {
-      *lsn = committer_.RecordAppended();
-    } else {
-      st = wal_->Sync();
-      if (st.ok()) WalSyncsCounter()->Increment();
-    }
-  }
-  if (!st.ok()) wal_poisoned_ = true;
-  return st;
-}
-
-// ---- WalCommitter (group commit; SearcherConfig::wal_group_commit) ----
-
-void EmbeddingSearcher::WalCommitter::Reset(WritableFile* file) {
-  MutexLock lock(mu_);
-  file_ = file;
-  // Everything appended so far was applied in memory under the writer
-  // token, and the caller (PublishGenerationLocked) just checkpointed that
-  // very memory into the new generation — so every outstanding record is
-  // durable through the checkpoint even though its old-WAL frame may not
-  // be. Waiters on old LSNs are satisfied, not stranded.
-  durable_ = appended_;
-  sync_active_ = false;
-  error_ = Status::OK();
-  cv_.NotifyAll();
-}
-
-u64 EmbeddingSearcher::WalCommitter::RecordAppended() {
-  MutexLock lock(mu_);
-  return ++appended_;  // LSNs are monotonic across WAL files (see Reset)
-}
-
-Status EmbeddingSearcher::WalCommitter::WaitDurable(u64 lsn,
-                                                    double window_ms)
-    DJ_NO_THREAD_SAFETY_ANALYSIS {
-  // Leader/follower: the first waiter to find no sync in flight becomes
-  // the leader, lingers for the commit window so concurrent mutators'
-  // records join, then issues ONE fsync for everything appended. The
-  // manual Unlock around the fsync keeps blocking I/O outside the
-  // critical section (DESIGN.md §10); the annotation-free analysis cannot
-  // follow the hand-over-hand locking here.
-  mu_.Lock();
-  for (;;) {
-    if (!error_.ok()) {
-      const Status st = error_;
-      mu_.Unlock();
-      return st;
-    }
-    if (durable_ >= lsn) {
-      mu_.Unlock();
-      return Status::OK();
-    }
-    if (sync_active_) {
-      // Ride on the in-flight (or imminent) sync. Bounded wait + re-check
-      // rather than an unbounded sleep.
-      (void)cv_.WaitFor(mu_, std::chrono::milliseconds(100));
-      continue;
-    }
-    sync_active_ = true;
-    if (window_ms > 0) {
-      (void)cv_.WaitFor(
-          mu_, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::duration<double, std::milli>(window_ms)));
-    }
-    const u64 target = appended_;
-    WritableFile* file = file_;
-    mu_.Unlock();
-    Status st = file->Sync();
-    mu_.Lock();
-    sync_active_ = false;
-    if (st.ok()) {
-      WalSyncsCounter()->Increment();
-      if (target > durable_) durable_ = target;
-    } else if (error_.ok()) {
-      // Sticky: every waiter past durable_ fails, and the next mutation
-      // repairs the WAL (RepairWalLocked) before appending anything.
-      error_ = std::move(st);
-    }
-    cv_.NotifyAll();
-  }
-}
-
-void EmbeddingSearcher::WalCommitter::Drain() {
-  MutexLock lock(mu_);
-  while (sync_active_) {
-    (void)cv_.WaitFor(mu_, std::chrono::milliseconds(100));
-  }
-}
-
-Status EmbeddingSearcher::WalCommitter::Error() const {
-  MutexLock lock(mu_);
-  return error_;
 }
 
 Status EmbeddingSearcher::SaveIndex(const std::string& path, Env* env,
@@ -1002,24 +504,10 @@ Status EmbeddingSearcher::LoadIndex(const std::string& path, Env* env,
         std::string("LoadIndex: file holds a '") + kind +
         "' index but the searcher is configured for a different backend");
   }
+  // Single-file load: the id space resets to identity (the file carries
+  // the graph only, not the column mapping — see the header).
   const WriterLock writer(this);
-  // Legacy single-file load: the id space resets to identity (the file
-  // carries the graph only, not the column mapping — see the header).
-  const u32 n = static_cast<u32>(index->size());
-  next_column_id_ = n;
-  col_to_index_.clear();
-  for (u32 id = 0; id < n; ++id) {
-    if (!index->IsDeleted(id)) col_to_index_[id] = id;
-  }
-  map_.reset();
-  Publish(std::make_shared<const IndexSnapshot>(
-      IndexSnapshot{std::move(index), nullptr, generation_}));
-  if (LiveLocked()) {
-    // Same as BuildIndex: the open WAL belongs to the replaced index.
-    wal_poisoned_ = true;
-    return RepairWalLocked();
-  }
-  return Status::OK();
+  return ReplaceIndexLocked(std::move(index));
 }
 
 EmbeddingSearcher::SearchResult EmbeddingSearcher::Search(
@@ -1057,11 +545,9 @@ void EmbeddingSearcher::SearchInto(const lake::Column& query,
       snap->index->SearchInto(tls.q.data(), options.k, AnnParamsFrom(options),
                               &tls.hits);
     }
-    const IdMap* map = snap->to_column.get();
     for (const auto& h : tls.hits) {
       // Capacity-reusing result buffer; growth is warmup-only.
-      out->ids.push_back(map != nullptr ? map->At(h.id)  // dj_alloc: allow(alloc)
-                                        : h.id);
+      out->ids.push_back(snap->ColumnOf(h.id));  // dj_alloc: allow(alloc)
     }
   }
   SearchesCounter()->Increment();
@@ -1098,7 +584,6 @@ std::vector<EmbeddingSearcher::SearchResult> EmbeddingSearcher::SearchBatch(
       encode.ElapsedMillis() / static_cast<double>(queries.size());
 
   const ann::AnnSearchParams ann_params = AnnParamsFrom(options);
-  const IdMap* map = snap->to_column.get();
   std::vector<ann::Neighbor> hits;  // reused across the batch loop
   for (size_t i = 0; i < queries.size(); ++i) {
     trace::TraceCollector collector(options.collect_stats);
@@ -1110,7 +595,7 @@ std::vector<EmbeddingSearcher::SearchResult> EmbeddingSearcher::SearchBatch(
     }
     outputs[i].ids.reserve(hits.size());
     for (const auto& h : hits) {
-      outputs[i].ids.push_back(map != nullptr ? map->At(h.id) : h.id);
+      outputs[i].ids.push_back(snap->ColumnOf(h.id));
     }
     if (options.collect_stats) {
       // Graft amortised encode + exact ANN under a synthetic per-query
@@ -1169,7 +654,6 @@ void EmbeddingSearcher::StreamScan::Board(Boarder* group, size_t n,
   // compaction must not serve a rider sent after a later remove from the
   // old index, which never receives that tombstone.
   const auto snap = searcher_->PinSnapshot();
-  const IdMap* const map = snap->to_column.get();
   for (size_t i = 0; i < n; ++i) {
     size_t slot;
     if (!free_.empty()) {
@@ -1184,7 +668,7 @@ void EmbeddingSearcher::StreamScan::Board(Boarder* group, size_t n,
     std::vector<u32>& ids = found_[slot];
     ids.clear();
     for (const auto& h : hitbuf_) {
-      ids.push_back(map != nullptr ? map->At(h.id) : h.id);
+      ids.push_back(snap->ColumnOf(h.id));
     }
     pending_.push_back(slot);
     group[i].slot = slot;
@@ -1210,9 +694,8 @@ void EmbeddingSearcher::StreamScan::Harvest(size_t slot, SearchResult* out) {
   out->ids.clear();
   if (scan_ != nullptr) {
     scan_->Harvest(slot, &hitbuf_);
-    const IdMap* const map = snap_->to_column.get();
     for (const auto& h : hitbuf_) {
-      out->ids.push_back(map != nullptr ? map->At(h.id) : h.id);
+      out->ids.push_back(snap_->ColumnOf(h.id));
     }
   } else {
     out->ids.assign(found_[slot].begin(), found_[slot].end());

@@ -11,11 +11,8 @@
 // across a query). Mutators (AddColumn, RemoveColumn, Compact, publish,
 // recovery) serialize on a writer lock and run alongside readers — the
 // underlying HNSW index supports concurrent insert/delete/search natively.
-// OpenLive() adds crash-safe durability: every mutation is WAL-logged
-// before it touches memory, checkpoints publish as numbered generations
-// behind an atomically-replaced MANIFEST, and recovery replays the WAL on
-// top of the newest generation whose artifacts validate (falling back one
-// generation on corruption).
+// OpenLive() hands durability to a core::LiveStore: the searcher checks
+// that a mutation can apply, has the store log it, then applies it.
 #ifndef DEEPJOIN_CORE_SEARCHER_H_
 #define DEEPJOIN_CORE_SEARCHER_H_
 
@@ -29,6 +26,7 @@
 #include "ann/hnsw.h"
 #include "ann/ivfpq.h"
 #include "core/encoders.h"
+#include "core/live_store.h"
 #include "util/alloc_guard.h"
 #include "util/env.h"
 #include "util/mutex.h"
@@ -61,11 +59,6 @@ struct SearcherConfig {
   int ivfpq_m = 8;
   int ivfpq_nbits = 6;
   int ivfpq_nprobe = 8;  ///< default probe budget; override per query
-  /// Row representation for the flat backend: StorageKind::kSq8 builds a
-  /// scalar-quantized index directly (4x smaller resident rows; the first
-  /// bulk add trains the per-dimension quantizer). The graph backends
-  /// always build float — quantize at save time via SaveIndex options.
-  ann::StorageKind flat_storage = ann::StorageKind::kFloat;
   /// Group-commit WAL (live mode): a mutation appends its record, applies
   /// in memory, releases the writer token, and then waits on a shared
   /// committer that issues ONE fsync for every record appended since the
@@ -116,54 +109,6 @@ struct BuildStats {
   trace::QueryStats trace;   ///< searcher.build span tree
 };
 
-/// Append-only index-id -> column-id map, shared between the writer and
-/// every snapshot taken after the compaction that created it. Readers call
-/// At() lock-free: chunk pointers are reserved to capacity up front (so
-/// published storage never moves) and an entry for index id X is always
-/// appended before the index publishes X (the index's release-store of its
-/// count is the fence readers acquire). Single writer by contract
-/// (EmbeddingSearcher's writer lock).
-class IdMap {
- public:
-  explicit IdMap(u32 capacity) : capacity_(capacity) {
-    chunks_.reserve((static_cast<size_t>(capacity) + kChunkMask) >>
-                    kChunkShift);
-  }
-  IdMap(const IdMap&) = delete;
-  IdMap& operator=(const IdMap&) = delete;
-
-  /// Writer only. Aborts past capacity (the index runs out first: the
-  /// searcher checks index capacity before appending).
-  void Append(u32 column_id) {
-    const u32 i = size_.load(std::memory_order_relaxed);
-    DJ_CHECK_MSG(i < capacity_, "IdMap capacity exceeded");
-    if ((i & kChunkMask) == 0) {
-      // Reserved at construction: the pointer array never reallocates
-      // under concurrent readers.
-      chunks_.push_back(std::make_unique<u32[]>(kChunkSize));
-    }
-    chunks_[i >> kChunkShift][i & kChunkMask] = column_id;
-    size_.store(i + 1, std::memory_order_release);
-  }
-
-  /// Lock-free; `index_id` must be below size() (readers only map ids the
-  /// index has published, which are appended first).
-  DJ_NOALLOC u32 At(u32 index_id) const {
-    return chunks_[index_id >> kChunkShift][index_id & kChunkMask];
-  }
-
-  size_t size() const { return size_.load(std::memory_order_acquire); }
-
- private:
-  static constexpr u32 kChunkShift = 10;
-  static constexpr u32 kChunkSize = 1u << kChunkShift;
-  static constexpr u32 kChunkMask = kChunkSize - 1;
-
-  const u32 capacity_;
-  std::vector<std::unique_ptr<u32[]>> chunks_;
-  std::atomic<u32> size_{0};
-};
-
 /// One RCU-published view of the index. Immutable to readers: a query pins
 /// the snapshot (shared_ptr copy under a brief lock) and works entirely
 /// off it, so a concurrent Compact/BuildIndex swapping the current
@@ -178,6 +123,11 @@ struct IndexSnapshot {
   std::shared_ptr<const IdMap> to_column;
   /// Durable generation this view descends from (0 = in-memory only).
   u64 generation = 0;
+
+  /// The repository column id of index id `id`.
+  DJ_NOALLOC u32 ColumnOf(u32 id) const {
+    return to_column != nullptr ? to_column->At(id) : id;
+  }
 };
 
 class EmbeddingSearcher {
@@ -187,10 +137,10 @@ class EmbeddingSearcher {
 
   /// Encodes and indexes the whole repository (offline phase). When a
   /// thread pool is given, the encoding stage — the dominant cost — runs
-  /// in parallel across columns, and a flat (float) or HNSW index inserts
-  /// each finished chunk of rows on the calling thread while later chunks
+  /// in parallel across columns, and a flat or HNSW index inserts each
+  /// finished chunk of rows on the calling thread while later chunks
   /// encode; rows still go in as 0..n-1, so the index is the same as a
-  /// serial build's (IVFPQ and SQ8 flat train on all rows first). Fails
+  /// serial build's (IVFPQ trains on all rows first). Fails
   /// (InvalidArgument) for an IVFPQ backend with an empty repository: its
   /// quantizer needs training data.
   /// Replaces the current snapshot (column ids reset to identity); in live
@@ -234,14 +184,10 @@ class EmbeddingSearcher {
   // ---- Live durability (DESIGN.md §12) ----
 
   /// Opens (or creates) a live index directory and switches the searcher
-  /// into durable mode. An existing directory is recovered: the MANIFEST
-  /// names the current generation; its checkpoint is loaded (falling back
-  /// to the retained previous generation if corrupt) and its WAL replayed
-  /// — recorded insert levels make the recovered graph bit-identical to
-  /// the pre-crash one; a torn WAL tail is ignored. The recovered (or
-  /// fresh) state is then rolled forward as a new generation. HNSW backend
-  /// only. `env` nullptr → Env::Default(); the env must outlive the
-  /// searcher.
+  /// into durable mode. An existing directory is recovered bit-identically
+  /// (LiveStore::Open); the recovered (or in-memory) state is then rolled
+  /// forward as a new generation. HNSW backend only. `env` nullptr →
+  /// Env::Default(); the env must outlive the searcher.
   [[nodiscard]] Status OpenLive(const std::string& dir, Env* env = nullptr);
 
   /// Checkpoints the current state as a new durable generation and starts
@@ -410,8 +356,6 @@ class EmbeddingSearcher {
     const EmbeddingSearcher* s_;
   };
 
-  bool LiveLocked() const { return !dir_.empty(); }  // writer token
-
   /// Encodes column_at(i) for i in [0, n) into row i of `out` (n x dim),
   /// in parallel across columns on `pool` when it has several threads.
   /// With a pool, `on_chunk` (if set) is ParallelFor's consumer: it gets
@@ -432,46 +376,38 @@ class EmbeddingSearcher {
   /// Bootstraps an empty index for the first incremental AddColumn.
   Status EnsureIndexLocked();
 
-  /// The current in-memory state re-labelled with generation `gen`
-  /// (writer-side view: the mutable IdMap).
-  IndexSnapshot CurrentStateLocked(u64 gen) const;
+  /// Makes `index` + `map` (nullptr = identity) the writer state and the
+  /// published snapshot, rebuilding col_to_index_ from its live ids.
+  void InstallLocked(std::shared_ptr<ann::VectorIndex> index,
+                     std::shared_ptr<IdMap> map, u32 next_column_id);
+
+  /// BuildIndex/LoadIndex: installs `index` with identity column ids. The
+  /// open WAL describes the replaced index, so a live searcher invalidates
+  /// it and publishes the new state as a fresh generation.
+  Status ReplaceIndexLocked(std::shared_ptr<ann::VectorIndex> index);
+
+  /// Publishes `index` + `map` as the store's next generation (live mode),
+  /// then installs them. On failure nothing changes.
+  Status CommitLocked(std::shared_ptr<ann::VectorIndex> index,
+                      std::shared_ptr<IdMap> map);
+
+  /// Before a mutation logs: when the store's log takes no record (after
+  /// a failed append, a rebuild or a load), publishes the current state.
+  Status PrepareLogLocked();
 
   Status CompactLocked();
 
-  /// Writes `state` as durable generation state.generation (checkpoint +
-  /// fresh WAL + MANIFEST flip), retires the grandparent generation, and
-  /// updates the live bookkeeping. On failure the previous generation and
-  /// the currently-open WAL stay authoritative. Does NOT swap the
-  /// in-memory snapshot — callers decide (Compact swaps only on success).
-  Status PublishGenerationLocked(const IndexSnapshot& state);
-
-  /// Re-establishes a durable generation after a WAL write error poisoned
-  /// the current log (no-op when the WAL is healthy).
-  Status RepairWalLocked();
-
-  Status RecoverLocked();
-  Status RecoverGenerationLocked(u64 gen, u64 manifest_prev);
-
   /// AddColumn/RemoveColumn bodies (writer token scope). `*lsn` is 0 when
-  /// the mutation's WAL record was fsync'd inline (or there is no WAL);
-  /// nonzero = the group-commit LSN the caller must WaitDurable() on
-  /// AFTER releasing the writer token.
+  /// the record is already durable (or there is no store); nonzero = the
+  /// group-commit LSN the caller must wait on AFTER releasing the token.
   Result<u32> AddColumnImpl(const lake::Column& column, u64* lsn);
   Status RemoveColumnImpl(u32 column_id, u64* lsn);
-
-  Status WalAppendInsert(u32 column_id, i32 level,
-                         const std::vector<float>& vec, u64* lsn);
-  Status WalAppendRemove(u32 index_id, u64* lsn);
 
   /// Hands the tombstone-triggered auto-compact to config_.compaction_pool
   /// (at most one scheduled at a time). The scheduled task acquires the
   /// writer token itself; the mutator that tripped the threshold has
   /// already moved on.
   void ScheduleCompaction();
-
-  std::string ManifestPath() const;
-  std::string IndexPath(u64 gen) const;
-  std::string WalPath(u64 gen) const;
 
   ColumnEncoder* encoder_;
   SearcherConfig config_;
@@ -497,55 +433,9 @@ class EmbeddingSearcher {
   /// Mutable alias of the published snapshot's IdMap (nullptr = identity).
   std::shared_ptr<IdMap> map_;
 
-  // ---- Live durability state (writer token) ----
-  std::string dir_;   ///< empty = in-memory only
-  Env* env_ = nullptr;
-  /// Current durable generation. Atomic only so generation() can read it
-  /// without queueing behind a publish; all writes hold the writer token.
-  std::atomic<u64> generation_{0};
-  u64 prev_generation_ = 0;
-  std::unique_ptr<WritableFile> wal_;
-  /// Set when a WAL append/sync failed: the log may end in a torn record,
-  /// so further appends would be unrecoverable. The next mutation rolls a
-  /// fresh generation first (RepairWalLocked).
-  bool wal_poisoned_ = false;
-  std::string wal_buf_;  ///< record scratch
-
-  /// Group-commit state (config_.wal_group_commit). Appends register an
-  /// LSN under the writer token; acknowledgement waits happen AFTER the
-  /// token is released, so one leader's fsync covers every record
-  /// appended by followers in the meantime. A failed shared sync is
-  /// sticky: every waiter covering unsynced records gets the error, and
-  /// the next mutation repairs the WAL (RepairWalLocked).
-  class WalCommitter {
-   public:
-    /// Rebinds to a fresh WAL file (writer token held; callers Drain()
-    /// first so no in-flight sync touches the old file).
-    void Reset(WritableFile* file);
-    /// Registers one appended record (writer token held); returns its LSN
-    /// (1-based per WAL file).
-    u64 RecordAppended();
-    /// Blocks until every record up to `lsn` is durable or the commit
-    /// fails. Called WITHOUT the writer token. `window_ms` is how long a
-    /// leader lingers for followers before syncing.
-    [[nodiscard]] Status WaitDurable(u64 lsn, double window_ms);
-    /// Waits out any in-flight sync (writer token held; used before the
-    /// WAL file is swapped).
-    void Drain();
-    /// Sticky error from a failed shared sync (OK when healthy; cleared
-    /// by Reset).
-    Status Error() const;
-
-   private:
-    mutable Mutex mu_{"searcher.wal_commit", rank::kWalCommit};
-    mutable CondVar cv_;
-    WritableFile* file_ DJ_GUARDED_BY(mu_) = nullptr;
-    u64 appended_ DJ_GUARDED_BY(mu_) = 0;
-    u64 durable_ DJ_GUARDED_BY(mu_) = 0;
-    bool sync_active_ DJ_GUARDED_BY(mu_) = false;
-    Status error_ DJ_GUARDED_BY(mu_);
-  };
-  WalCommitter committer_;
+  /// Durable home in live mode (OpenLive); nullptr = in-memory only. Set
+  /// once, never replaced.
+  std::unique_ptr<LiveStore> store_;
 
   /// True while an auto-compact is queued/running on compaction_pool.
   std::atomic<bool> compact_scheduled_{false};

@@ -49,7 +49,7 @@ inline constexpr int kServeBatcher = 60;    // serve.batcher
 inline constexpr int kServeCompletion = 80; // serve.completion
 inline constexpr int kPool = 100;           // threadpool.queue
 inline constexpr int kSearcherWriter = 150; // searcher.writer
-inline constexpr int kWalCommit = 170;      // searcher.wal_commit
+inline constexpr int kWalCommit = 170;      // live_store.wal_commit
 inline constexpr int kPoolBatch = 200;      // threadpool.batch
 inline constexpr int kSnapshot = 250;       // searcher.snapshot
 inline constexpr int kWorkspace = 300;      // transformer.workspace

@@ -316,6 +316,66 @@ TEST_F(LiveIndexTest, PublishRetiresGrandparentGenerationOnly) {
   EXPECT_FALSE(std::filesystem::exists(dir_ + "/wal-1.log"));
 }
 
+// ---- A mutation that fails is never logged ----
+
+class LiveIndexMappedTest : public LiveIndexTest {
+ protected:
+  /// Builds repo_ into a live searcher, then loads the same index back
+  /// mapped (read-only): the state in which AddColumn must fail.
+  void OpenLiveMapped(EmbeddingSearcher* s) {
+    const std::string saved = dir_ + "_index.djix";
+    files_.push_back(saved);
+    ASSERT_TRUE(s->BuildIndex(repo_).ok());
+    ASSERT_TRUE(s->SaveIndex(saved).ok());
+    ASSERT_TRUE(s->OpenLive(dir_).ok());
+    ann::OpenOptions open;
+    open.map = ann::MapMode::kMapped;
+    ASSERT_TRUE(s->LoadIndex(saved, nullptr, open).ok());
+  }
+  void TearDown() override {
+    for (const auto& f : files_) std::filesystem::remove(f);
+    LiveIndexTest::TearDown();
+  }
+  std::vector<std::string> files_;
+};
+
+TEST_F(LiveIndexMappedTest, FailedAddIsNotRecovered) {
+  SearcherConfig cfg;
+  {
+    EmbeddingSearcher searcher(encoder_.get(), cfg);
+    ASSERT_NO_FATAL_FAILURE(OpenLiveMapped(&searcher));
+    EXPECT_EQ(searcher.AddColumn(queries_[0]).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(searcher.index_size(), repo_.size());
+  }
+  EmbeddingSearcher reopened(encoder_.get(), cfg);
+  ASSERT_TRUE(reopened.OpenLive(dir_).ok());
+  EXPECT_EQ(reopened.index_size(), repo_.size());
+  auto id = reopened.AddColumn(queries_[0]);
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, static_cast<u32>(repo_.size()));
+}
+
+TEST_F(LiveIndexMappedTest, FailedAddsDoNotCostAcknowledgedMutations) {
+  SearcherConfig cfg;
+  std::vector<std::vector<u32>> expected;
+  {
+    EmbeddingSearcher searcher(encoder_.get(), cfg);
+    ASSERT_NO_FATAL_FAILURE(OpenLiveMapped(&searcher));
+    EXPECT_FALSE(searcher.AddColumn(queries_[0]).ok());
+    EXPECT_FALSE(searcher.AddColumn(queries_[1]).ok());
+    ASSERT_TRUE(searcher.RemoveColumn(3).ok());
+    expected = Fingerprint(searcher);
+  }
+  // Neither the load nor the acknowledged remove may be lost: recovery
+  // must replay the log of this generation, not fall back past it.
+  EmbeddingSearcher reopened(encoder_.get(), cfg);
+  ASSERT_TRUE(reopened.OpenLive(dir_).ok());
+  EXPECT_EQ(reopened.index_size(), repo_.size());
+  EXPECT_EQ(reopened.live_size(), repo_.size() - 1);
+  EXPECT_EQ(Fingerprint(reopened), expected);
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace deepjoin

@@ -103,9 +103,9 @@ if [[ "$QUICK" == "0" ]]; then
   echo "=== [churn] TSan churn stress ==="
   (cd "$ROOT/build-tsan" && ctest --output-on-failure --no-tests=error \
     -j "$JOBS" -R "Churn")
-  echo "=== [churn] ASan+UBSan crash torture + live-index lifecycle ==="
+  echo "=== [churn] ASan+UBSan crash torture + live-index lifecycle + live-store WAL torture ==="
   (cd "$ROOT/build-asan" && ctest --output-on-failure --no-tests=error \
-    -j "$JOBS" -R "ChurnTorture|LiveIndex")
+    -j "$JOBS" -R "ChurnTorture|LiveIndex|LiveStore")
 
   # Lock discipline (DESIGN.md §10): Debug defaults DJ_LOCK_RANK=ON, so
   # the death label exercises the runtime aborts (rank inversion,
