@@ -82,9 +82,10 @@ void RunCorpus(const BenchConfig& cfg) {
       ThreadPool pool(threads);
       for (size_t k : kKs) {
         if (batched) {
-          auto outs = searcher.SearchBatch(env.queries(), {.k = k}, &pool);
-          row.encode_ms = outs.front().stats.SpanMs("searcher.encode");
-          row.total_ms.push_back(outs.front().stats.total_ms());
+          row.encode_ms = BatchedEncodeMsPerQuery(enc, env.queries(), &pool);
+          WallTimer t;
+          searcher.SearchBatch(env.queries(), {.k = k}, &pool);
+          row.total_ms.push_back(t.ElapsedMillis() / static_cast<double>(nq));
         } else {
           TimeAccumulator enc_acc, total_acc;
           for (const auto& q : env.queries()) {

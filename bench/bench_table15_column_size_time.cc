@@ -100,9 +100,12 @@ int main(int argc, char** argv) {
         const size_t threads =
             std::max(2u, std::thread::hardware_concurrency());
         ThreadPool pool(threads);
-        auto outs = searcher.SearchBatch(env.queries(), {.k = k}, &pool);
-        row.encode_ms.push_back(outs.front().stats.SpanMs("searcher.encode"));
-        row.total_ms.push_back(outs.front().stats.total_ms());
+        const size_t nq = env.queries().size();
+        row.encode_ms.push_back(
+            BatchedEncodeMsPerQuery(enc, env.queries(), &pool));
+        WallTimer t;
+        searcher.SearchBatch(env.queries(), {.k = k}, &pool);
+        row.total_ms.push_back(t.ElapsedMillis() / static_cast<double>(nq));
       } else {
         TimeAccumulator enc_acc, total_acc;
         for (const auto& q : env.queries()) {

@@ -187,6 +187,20 @@ MethodResult BenchEnv::RunEncoder(core::ColumnEncoder* encoder,
   return out;
 }
 
+double BatchedEncodeMsPerQuery(core::ColumnEncoder* encoder,
+                               const std::vector<lake::Column>& queries,
+                               ThreadPool* pool) {
+  if (queries.empty()) return 0.0;
+  std::vector<float> out(queries.size() *
+                         static_cast<size_t>(encoder->dim()));
+  WallTimer t;
+  pool->ParallelFor(queries.size(), [&](size_t i) {
+    encoder->EncodeInto(queries[i],
+                        out.data() + i * static_cast<size_t>(encoder->dim()));
+  });
+  return t.ElapsedMillis() / static_cast<double>(queries.size());
+}
+
 BenchEnv::DeepJoinRun BenchEnv::RunDeepJoin(core::PlmKind kind,
                                             core::JoinType join_type,
                                             core::TransformOption transform,

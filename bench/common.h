@@ -21,6 +21,7 @@
 #include "util/flags.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace deepjoin {
@@ -148,6 +149,14 @@ class BenchEnv {
   std::vector<std::vector<Scored>> exact_equi_;
   std::vector<std::vector<float>> query_vectors_;
 };
+
+/// Mean per-query wall time (ms) of the batched rows' encode stage on its
+/// own: every query encoded in parallel on `pool` (ParallelFor over
+/// ColumnEncoder::EncodeInto, as SearchBatch encodes its group), divided
+/// by the number of queries.
+double BatchedEncodeMsPerQuery(core::ColumnEncoder* encoder,
+                               const std::vector<lake::Column>& queries,
+                               ThreadPool* pool);
 
 /// Prefix of a ranking (model top-k is the first k of the k_max ranking).
 std::vector<u32> TopIds(const std::vector<u32>& ranking, size_t k);

@@ -1099,13 +1099,6 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::LoadPayload(
   return std::make_unique<HnswIndex>(std::move(index));
 }
 
-std::vector<Neighbor> HnswIndex::Search(const float* query, size_t k,
-                                        const AnnSearchParams& params) const {
-  std::vector<Neighbor> out;
-  SearchInto(query, k, params, &out);
-  return out;
-}
-
 void HnswIndex::SearchInto(const float* query, size_t k,
                            const AnnSearchParams& params,
                            std::vector<Neighbor>* out) const {

@@ -66,8 +66,6 @@ class HnswIndex : public VectorIndex {
   HnswIndex(const HnswIndex&) = delete;
   HnswIndex& operator=(const HnswIndex&) = delete;
 
-  using VectorIndex::Search;
-
   /// Legacy bulk-build entry point: draws the level and inserts, aborting
   /// on capacity exhaustion (callers size max_elements to the build).
   /// Serial adds produce the same graph the pre-mutability code built.
@@ -108,23 +106,20 @@ class HnswIndex : public VectorIndex {
   /// and atomic tombstone flags are read.
   HnswIndex CompactedCopy(std::vector<u32>* new_to_old) const;
 
-  /// Thread-safe against concurrent Search and Insert/Remove calls on the
-  /// same index (each query checks out its own visited-marker scratch from
-  /// a pool and pins the published node count; mutators publish nodes with
-  /// release stores and guard adjacency with striped link locks).
+  /// Thread-safe against concurrent searches and Insert/Remove calls on
+  /// the same index (each query checks out its own visited-marker scratch
+  /// from a pool and pins the published node count; mutators publish nodes
+  /// with release stores and guard adjacency with striped link locks).
   /// The recall/latency knob travels per call: params.ef_search > 0
   /// overrides config.ef_search for this query only, so concurrent
   /// searches with different ef never race on shared state.
-  std::vector<Neighbor> Search(const float* query, size_t k,
-                               const AnnSearchParams& params) const override;
-
+  ///
   /// Allocation-free query path: the whole traversal runs on pooled
   /// scratch (visited stamps + the two layer-search heaps + the link
   /// snapshot buffer) and writes into the caller's capacity-reusing
-  /// buffer. Search forwards here. The DJ_NOALLOC contract covers the
-  /// steady state — scratch pool warmed up, no per-query TraceCollector
-  /// installed — and is enforced by tools/dj_alloc plus the guard-enabled
-  /// searcher test.
+  /// buffer. The DJ_NOALLOC contract covers the steady state — scratch
+  /// pool warmed up, no per-query TraceCollector installed — and is
+  /// enforced by tools/dj_alloc plus the guard-enabled searcher test.
   DJ_NOALLOC void SearchInto(const float* query, size_t k,
                              const AnnSearchParams& params,
                              std::vector<Neighbor>* out) const override;

@@ -125,11 +125,13 @@ void IvfPqIndex::Add(const float* vec) {
   ++count_;
 }
 
-std::vector<Neighbor> IvfPqIndex::Search(const float* query, size_t k,
-                                         const AnnSearchParams& params) const {
+void IvfPqIndex::SearchInto(const float* query, size_t k,
+                            const AnnSearchParams& params,
+                            std::vector<Neighbor>* out) const {
   DJ_TRACE_SPAN("ivfpq.search");
   DJ_CHECK_MSG(trained_, "Search() before Train()");
-  if (count_ == 0 || k == 0) return {};
+  out->clear();
+  if (count_ == 0 || k == 0) return;
   const int d = config_.dim;
   const int ds = dsub();
   const int ks = ksub();
@@ -211,11 +213,9 @@ std::vector<Neighbor> IvfPqIndex::Search(const float* query, size_t k,
     trace::Count("ivfpq.codes_scanned", codes_scanned);
   }
 
-  std::vector<Neighbor> out;
   for (const auto& s : top.Take()) {
-    out.push_back(Neighbor{static_cast<float>(-s.score), s.id});
+    out->push_back(Neighbor{static_cast<float>(-s.score), s.id});
   }
-  return out;
 }
 
 IvfPqIndex::ListView IvfPqIndex::ListAt(u32 cell) const {

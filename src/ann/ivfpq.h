@@ -39,13 +39,11 @@ class IvfPqIndex : public VectorIndex {
   void Train(const float* data, size_t n);
   bool trained() const { return trained_; }
 
-  using VectorIndex::Search;
-
   void Add(const float* vec) override;
   /// params.nprobe > 0 overrides config.nprobe for this query only (the
   /// old set_nprobe mutator raced with concurrent searches and is gone).
-  std::vector<Neighbor> Search(const float* query, size_t k,
-                               const AnnSearchParams& params) const override;
+  void SearchInto(const float* query, size_t k, const AnnSearchParams& params,
+                  std::vector<Neighbor>* out) const override;
   size_t size() const override { return count_; }
   int dim() const override { return config_.dim; }
   const char* name() const override {

@@ -69,11 +69,13 @@ void FlatIndex::AddBatch(const float* data, size_t n) {
   tombstones_.insert(tombstones_.end(), n, 0);
 }
 
-std::vector<Neighbor> FlatIndex::Search(const float* query, size_t k,
-                                        const AnnSearchParams& params) const {
+void FlatIndex::SearchInto(const float* query, size_t k,
+                           const AnnSearchParams& params,
+                           std::vector<Neighbor>* out) const {
   DJ_TRACE_SPAN("flat.search");
+  out->clear();
   const size_t n = size();
-  if (n == 0 || k == 0) return {};
+  if (n == 0 || k == 0) return;
   trace::Count("flat.dist_evals", n);
   const bool refine = Refines(params.refine_factor);
   const size_t fetch =
@@ -84,12 +86,10 @@ std::vector<Neighbor> FlatIndex::Search(const float* query, size_t k,
     const float d = store_->Distance(query, static_cast<u32>(i));
     top.Push(-static_cast<double>(d), static_cast<u32>(i));
   }
-  std::vector<Neighbor> out;
   for (const auto& s : top.Take()) {
-    out.push_back(Neighbor{static_cast<float>(-s.score), s.id});
+    out->push_back(Neighbor{static_cast<float>(-s.score), s.id});
   }
-  if (refine) RefineResults(*refine_, query, k, &out);
-  return out;
+  if (refine) RefineResults(*refine_, query, k, out);
 }
 
 // ---- Persistence (the payload behind index_io's DJIX header) ----

@@ -90,25 +90,22 @@ class VectorIndex {
                                       " does not support Save");
   }
 
-  /// k nearest neighbours of `query` under (squared) L2, nearest first.
-  virtual std::vector<Neighbor> Search(const float* query, size_t k,
-                                       const AnnSearchParams& params)
-      const = 0;
-
-  /// Convenience overload: search with the index's configured defaults.
-  std::vector<Neighbor> Search(const float* query, size_t k) const {
-    return Search(query, k, AnnSearchParams{});
-  }
-
-  /// Writes the k nearest into `*out` (cleared first), nearest first. The
-  /// hot query path (EmbeddingSearcher::SearchInto) calls this so indexes
-  /// with an allocation-free fast path can reuse the caller's buffer
-  /// (HnswIndex overrides this with a DJ_NOALLOC implementation); the
-  /// default just forwards to Search.
+  /// Writes the k nearest neighbours of `query` under (squared) L2 into
+  /// `*out` (cleared first), nearest first. The one query method every
+  /// backend implements; callers that search repeatedly (the searcher's
+  /// hot path, the serving session) reuse `*out`'s capacity, and HnswIndex
+  /// implements it allocation-free (DJ_NOALLOC).
   virtual void SearchInto(const float* query, size_t k,
                           const AnnSearchParams& params,
-                          std::vector<Neighbor>* out) const {
-    *out = Search(query, k, params);
+                          std::vector<Neighbor>* out) const = 0;
+
+  /// Convenience form of SearchInto that returns a fresh vector; with no
+  /// params, searches with the index's configured defaults.
+  std::vector<Neighbor> Search(const float* query, size_t k,
+                               const AnnSearchParams& params = {}) const {
+    std::vector<Neighbor> out;
+    SearchInto(query, k, params, &out);
+    return out;
   }
 
   virtual size_t size() const = 0;
@@ -138,8 +135,6 @@ class FlatIndex : public VectorIndex {
             std::unique_ptr<VectorStore> refine, std::vector<u8> tombstones,
             size_t deleted);
 
-  using VectorIndex::Search;
-
   void Add(const float* vec) override;
   void AddBatch(const float* data, size_t n) override;
   [[nodiscard]] Status Remove(u32 id) override {
@@ -157,8 +152,8 @@ class FlatIndex : public VectorIndex {
     return id < tombstones_.size() && tombstones_[id] != 0;
   }
   size_t deleted_count() const override { return deleted_; }
-  std::vector<Neighbor> Search(const float* query, size_t k,
-                               const AnnSearchParams& params) const override;
+  void SearchInto(const float* query, size_t k, const AnnSearchParams& params,
+                  std::vector<Neighbor>* out) const override;
   size_t size() const override { return store_->size(); }
   int dim() const override { return store_->dim(); }
   const char* name() const override { return "flat"; }

@@ -22,10 +22,12 @@ namespace core {
 
 /// Maps a column to a fixed-length vector.
 ///
-/// Concurrency contract: EmbeddingSearcher::BuildIndex and SearchBatch
-/// fan Encode out over a ThreadPool, so one encoder instance is invoked
-/// from many threads at once. Encode must therefore be safe for
-/// concurrent calls — keep scratch per-call or thread_local (the autograd
+/// Concurrency contract: EmbeddingSearcher::BuildIndex and
+/// StreamScan::Board (the path of QueryService and SearchBatch) fan
+/// EncodeInto out over a ThreadPool, and Search may run on many client
+/// threads, so one encoder instance is invoked from many threads at
+/// once. Encode and EncodeInto must therefore be safe for concurrent
+/// calls — keep scratch per-call or thread_local (the autograd
 /// NoGradGuard flag is thread_local for exactly this reason), and guard
 /// any shared mutable cache with a deepjoin::Mutex + DJ_GUARDED_BY (see
 /// src/util/mutex.h). Training-time graph building

@@ -6,7 +6,6 @@
 
 #include "ann/index_io.h"
 #include "util/metrics.h"
-#include "util/timer.h"
 
 namespace deepjoin {
 namespace core {
@@ -28,9 +27,9 @@ ann::HnswConfig MakeHnswConfig(const SearcherConfig& config, int dim,
   hc.M = config.hnsw_M;
   hc.ef_construction = config.hnsw_ef_construction;
   hc.ef_search = config.hnsw_ef_search;
-  // A bulk build larger than the configured live ceiling raises the
+  // A bulk build larger than HnswConfig's default live ceiling raises the
   // capacity to fit (the ceiling gates incremental growth, not builds).
-  const u64 cap = std::max<u64>(config.hnsw_max_elements, min_capacity);
+  const u64 cap = std::max<u64>(hc.max_elements, min_capacity);
   hc.max_elements = static_cast<u32>(
       std::min<u64>(cap, std::numeric_limits<u32>::max()));
   return hc;
@@ -168,9 +167,7 @@ Status EmbeddingSearcher::BuildIndex(const lake::Repository& repo,
       if (config_.backend == AnnBackend::kIvfPq) {
         ann::IvfPqConfig ic;
         ic.dim = dim_;
-        ic.nlist = config_.ivfpq_nlist;
         ic.m = config_.ivfpq_m;
-        ic.nbits = config_.ivfpq_nbits;
         ic.nprobe = config_.ivfpq_nprobe;
         auto idx = std::make_shared<ann::IvfPqIndex>(ic);
         idx->Train(embeddings.data(), n);
@@ -295,7 +292,7 @@ Result<u32> EmbeddingSearcher::AddColumnImpl(const lake::Column& column,
   if (hnsw != nullptr && hnsw->size() >= hnsw->capacity()) {
     return Status::FailedPrecondition(
         "hnsw index full (" + std::to_string(hnsw->capacity()) +
-        " elements): Compact() or rebuild with a larger hnsw_max_elements");
+        " elements): Compact() or BuildIndex a larger repository");
   }
   DJ_RETURN_IF_ERROR(PrepareLogLocked());
   const u32 col = next_column_id_;
@@ -561,59 +558,22 @@ void EmbeddingSearcher::SearchInto(const lake::Column& query,
 std::vector<EmbeddingSearcher::SearchResult> EmbeddingSearcher::SearchBatch(
     const std::vector<lake::Column>& queries, const SearchOptions& options,
     ThreadPool* pool) {
-  const auto snap = PinSnapshot();
+  StreamScan scan = NewStreamScan();
   DJ_CHECK_MSG(
-      snap != nullptr,
+      scan.valid(),
       "EmbeddingSearcher::SearchBatch() before BuildIndex()/LoadIndex()");
-  std::vector<SearchResult> outputs(queries.size());
-  if (queries.empty()) return outputs;
-  DJ_TRACE_SPAN("searcher.search_batch");
-
-  // Encoding is the parallel stage (it dominates; §5.4). One flat buffer
-  // for the whole batch; EncodeInto avoids per-query allocation. Worker
-  // threads carry no trace collector, so the encode stage is reported
-  // amortised per query below — that *is* its per-query cost when the
-  // stage runs batched.
-  std::vector<float> embeddings(queries.size() * static_cast<size_t>(dim_));
-  WallTimer encode;
-  EncodeColumns(
-      queries.size(),
-      [&](size_t i) -> const lake::Column& { return queries[i]; },
-      embeddings.data(), pool);
-  const double encode_ms_per_query =
-      encode.ElapsedMillis() / static_cast<double>(queries.size());
-
-  const ann::AnnSearchParams ann_params = AnnParamsFrom(options);
-  std::vector<ann::Neighbor> hits;  // reused across the batch loop
+  std::vector<StreamScan::Boarder> group(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    trace::TraceCollector collector(options.collect_stats);
-    {
-      DJ_TRACE_SPAN("searcher.ann");
-      snap->index->SearchInto(
-          embeddings.data() + i * static_cast<size_t>(dim_), options.k,
-          ann_params, &hits);
-    }
-    outputs[i].ids.reserve(hits.size());
-    for (const auto& h : hits) {
-      outputs[i].ids.push_back(snap->ColumnOf(h.id));
-    }
-    if (options.collect_stats) {
-      // Graft amortised encode + exact ANN under a synthetic per-query
-      // root, so children sum to the root by construction.
-      trace::QueryStats ann_stats = collector.Finish();
-      trace::SpanNode enc;
-      enc.name = "searcher.encode";
-      enc.elapsed_ms = encode_ms_per_query;
-      trace::SpanNode root;
-      root.name = "searcher.search";
-      root.elapsed_ms = encode_ms_per_query + ann_stats.root.elapsed_ms;
-      root.children.push_back(std::move(enc));
-      root.children.push_back(std::move(ann_stats.root));
-      outputs[i].stats.root = std::move(root);
-      outputs[i].stats.counters = std::move(ann_stats.counters);
-    }
+    group[i] = {&queries[i], options};
   }
-  SearchesCounter()->Add(queries.size());
+  scan.Board(group.data(), group.size(), pool);
+  // Every rider is done once the session drains; harvest in input order.
+  std::vector<size_t> done;
+  while (!scan.empty()) scan.Step(&done);
+  std::vector<SearchResult> outputs(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    scan.Harvest(group[i].slot, &outputs[i]);
+  }
   return outputs;
 }
 
@@ -717,13 +677,6 @@ size_t EmbeddingSearcher::live_size() const {
   const auto snap = PinSnapshot();
   return snap != nullptr ? snap->index->size() - snap->index->deleted_count()
                          : 0;
-}
-
-const ann::VectorIndex& EmbeddingSearcher::index() const {
-  const auto snap = PinSnapshot();
-  DJ_CHECK_MSG(snap != nullptr,
-               "EmbeddingSearcher::index() before BuildIndex()/LoadIndex()");
-  return *snap->index;
 }
 
 }  // namespace core

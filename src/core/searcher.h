@@ -6,11 +6,13 @@
 //
 // Live mutability (DESIGN.md §12): the searcher is a concurrent reader /
 // single-logical-writer structure. Readers (Search / SearchInto /
-// SearchBatch) pin an immutable IndexSnapshot through a shared_ptr swap
+// StreamScan) pin an immutable IndexSnapshot through a shared_ptr swap
 // (RCU-style: the snapshot lock is held for a pointer copy only, never
-// across a query). Mutators (AddColumn, RemoveColumn, Compact, publish,
-// recovery) serialize on a writer lock and run alongside readers — the
-// underlying HNSW index supports concurrent insert/delete/search natively.
+// across a query). SearchBatch is one StreamScan group, so every batched
+// query — served or direct — runs the same encode-then-search path.
+// Mutators (AddColumn, RemoveColumn, Compact, publish, recovery) serialize
+// on a writer lock and run alongside readers — the underlying HNSW index
+// supports concurrent insert/delete/search natively.
 // OpenLive() hands durability to a core::LiveStore: the searcher checks
 // that a mutation can apply, has the store log it, then applies it.
 #ifndef DEEPJOIN_CORE_SEARCHER_H_
@@ -44,10 +46,9 @@ struct SearcherConfig {
   int hnsw_M = 16;
   int hnsw_ef_construction = 120;
   int hnsw_ef_search = 64;  ///< default beam; override per query instead
-  /// Live-insert capacity ceiling for an incrementally-grown HNSW index
-  /// (BuildIndex raises it to the repository size when larger). AddColumn
-  /// past it returns FailedPrecondition.
-  u32 hnsw_max_elements = 1u << 20;
+  // An incrementally grown HNSW index holds HnswConfig's default
+  // max_elements (BuildIndex raises it to the repository size); IVFPQ
+  // keeps IvfPqConfig's nlist and nbits.
   /// RemoveColumn triggers an automatic Compact() once the index carries
   /// at least `compact_min_dead` tombstones AND they make up at least
   /// `compact_dead_fraction` of the published nodes. Compaction is an
@@ -55,9 +56,7 @@ struct SearcherConfig {
   /// error in live mode) does not fail the remove.
   size_t compact_min_dead = 64;
   double compact_dead_fraction = 0.5;
-  int ivfpq_nlist = 64;
   int ivfpq_m = 8;
-  int ivfpq_nbits = 6;
   int ivfpq_nprobe = 8;  ///< default probe budget; override per query
   /// Group-commit WAL (live mode): a mutation appends its record, applies
   /// in memory, releases the writer token, and then waits on a shared
@@ -166,7 +165,8 @@ class EmbeddingSearcher {
 
   /// Tombstones the column with id `column_id` (as returned by AddColumn /
   /// reported by Search): it stops appearing in results immediately, for
-  /// every ef_search, on Search and SearchBatch alike. NotFound when the
+  /// every ef_search, on Search and on every StreamScan rider (SearchBatch
+  /// included) that boards after the remove returns. NotFound when the
   /// id was never added or was already removed. In live mode the delete is
   /// WAL-logged first. May trigger an automatic Compact (see
   /// SearcherConfig).
@@ -239,16 +239,21 @@ class EmbeddingSearcher {
   /// forwards here. The DJ_NOALLOC contract (enforced by tools/dj_alloc
   /// and the guard-enabled searcher test) covers the steady state: scratch
   /// and pools warmed up, options.collect_stats == false (a TraceCollector
-  /// allocates by design), and an HNSW backend (the flat/IVFPQ SearchInto
-  /// default still builds a result vector).
+  /// allocates by design), and an HNSW backend (flat and IVFPQ SearchInto
+  /// build a TopK per query).
   DJ_NOALLOC void SearchInto(const lake::Column& query,
                              const SearchOptions& options, SearchResult* out);
 
-  /// Batched search across a thread pool — the accelerated path standing
-  /// in for the paper's GPU rows (see DESIGN.md). Per-query stats report
-  /// the encode stage amortised (batch encode time / batch size — the
-  /// stage runs batched, so that's its true per-query cost) and the ANN
-  /// stage exactly. The whole batch runs against one pinned snapshot.
+  /// Batched search — the accelerated path standing in for the paper's GPU
+  /// rows, which batch the encode stage (see DESIGN.md). One StreamScan
+  /// session boards every query as one group, encoded in parallel on
+  /// `pool` (nullptr: inline), and results come back in input order. The
+  /// batch is served exactly as QueryService serves a boarding group: on a
+  /// float flat index, a group of 6 or more riders scores each corpus tile
+  /// with one SGEMM (distances within float rounding of Search); on HNSW
+  /// and IVFPQ every query runs SearchInto against one pinned snapshot.
+  /// Only ids are filled: options.collect_stats is ignored (Search gives
+  /// per-query stats). Aborts before an index exists, like Search.
   std::vector<SearchResult> SearchBatch(
       const std::vector<lake::Column>& queries, const SearchOptions& options,
       ThreadPool* pool);
@@ -258,10 +263,10 @@ class EmbeddingSearcher {
   /// BuildIndex/AddColumn/OpenLive.
   std::shared_ptr<const IndexSnapshot> PinSnapshot() const;
 
-  /// Streaming query session for the serving layer (DESIGN.md §13), any
-  /// backend. Construction pins the current snapshot; queries Board()
-  /// between Steps and Harvest() maps hits to repository column ids. On a
-  /// flat snapshot every rider rides one full wrap of
+  /// Streaming query session for the serving layer and SearchBatch
+  /// (DESIGN.md §13), any backend. Construction pins the current snapshot;
+  /// queries Board() between Steps and Harvest() maps hits to repository
+  /// column ids. On a flat snapshot every rider rides one full wrap of
   /// FlatIndex::SharedScan. On any other backend a rider is searched at
   /// boarding (VectorIndex::SearchInto with its own options, against the
   /// snapshot current at boarding, so it sees every remove acknowledged
@@ -324,12 +329,6 @@ class EmbeddingSearcher {
   size_t index_size() const;
   /// index_size() minus tombstones: the number of searchable columns.
   size_t live_size() const;
-
-  /// The current ANN index. Calling this before an index exists is a
-  /// programming error and aborts with a message. The reference is only
-  /// stable while no concurrent Compact/BuildIndex swaps the snapshot —
-  /// concurrent callers pin via PinSnapshot() instead.
-  const ann::VectorIndex& index() const;
 
  private:
   // ---- Writer token (LevelDB-style) ----

@@ -135,6 +135,12 @@ Status QueryService::Submit(Request* r) {
   // Per-query trace trees are incompatible with batched dispatch; latency
   // accounting happens through the dj_serve_* histograms instead.
   r->options.collect_stats = false;
+  // A reused node must not carry its previous query's latency record: a
+  // completion that never executes (expiry, no index) writes no exec_ms,
+  // and Complete files the record as it stands.
+  r->queue_ms = 0.0;
+  r->exec_ms = 0.0;
+  r->total_ms = 0.0;
   Status st = batcher_.Submit(r);
   if (st.ok()) {
     AdmittedCounter()->Increment();

@@ -1,6 +1,7 @@
 // Parameterized sweep over ANN backends behind the searcher: every
-// backend must return valid, deduplicated, k-sized result sets, and the
-// approximate backends must agree with the exact one on most results.
+// backend must return valid, deduplicated, k-sized result sets, the
+// approximate backends must agree with the exact one on most results, and
+// the batched path must return what the single-query path returns.
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -9,6 +10,7 @@
 
 #include "core/searcher.h"
 #include "lake/generator.h"
+#include "util/thread_pool.h"
 
 namespace deepjoin {
 namespace core {
@@ -105,6 +107,28 @@ TEST_P(SearcherBackendTest, KLargerThanRepositoryClamps) {
   auto out = searcher.Search((*queries_)[0], {.k = 50});
   EXPECT_LE(out.ids.size(), 5u);
   EXPECT_GE(out.ids.size(), 1u);
+}
+
+// SearchBatch is one StreamScan group: with a 4-thread encode pool it
+// returns Search's ids on every backend. The flat group stays below the
+// shared scan's SGEMM cutover (6 riders), so every rider takes the scalar
+// arm and its ids match Search exactly (flat_shared_scan_test checks the
+// SGEMM arm against Search within float rounding).
+TEST_P(SearcherBackendTest, SearchBatchMatchesSearch) {
+  SearcherConfig cfg;
+  cfg.backend = GetParam();
+  cfg.ivfpq_m = 4;
+  EmbeddingSearcher searcher(encoder_.get(), cfg);
+  ASSERT_TRUE(searcher.BuildIndex(*repo_).ok());
+  const std::vector<lake::Column> group(queries_->begin(),
+                                        queries_->begin() + 5);
+  ThreadPool pool(4);
+  const auto batched = searcher.SearchBatch(group, {.k = 10}, &pool);
+  ASSERT_EQ(batched.size(), group.size());
+  for (size_t i = 0; i < group.size(); ++i) {
+    EXPECT_EQ(batched[i].ids, searcher.Search(group[i], {.k = 10}).ids)
+        << "query " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SearcherBackendTest,

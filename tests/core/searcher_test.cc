@@ -95,21 +95,13 @@ TEST_F(SearcherTest, CollectStatsFalseSkipsTrace) {
   EXPECT_EQ(out.stats.total_ms(), 0.0);
 }
 
-TEST_F(SearcherTest, BatchAmortisesEncodeIntoPerQueryStats) {
+TEST_F(SearcherTest, SearchBatchOfNoQueriesReturnsEmpty) {
   SearcherConfig cfg;
   EmbeddingSearcher searcher(encoder_.get(), cfg);
   ASSERT_TRUE(searcher.BuildIndex(repo_).ok());
   ThreadPool pool(2);
-  auto outs = searcher.SearchBatch(queries_, {.k = 5}, &pool);
-  ASSERT_EQ(outs.size(), queries_.size());
-  for (const auto& o : outs) {
-    EXPECT_EQ(o.ids.size(), 5u);
-    EXPECT_GT(o.stats.total_ms(), 0.0);
-    // Per-query root = amortised encode + this query's ANN.
-    const double sum = o.stats.SpanMs("searcher.encode") +
-                       o.stats.SpanMs("searcher.ann");
-    EXPECT_NEAR(o.stats.total_ms(), sum, 1e-9);
-  }
+  EXPECT_TRUE(searcher.SearchBatch({}, {.k = 5}, &pool).empty());
+  EXPECT_TRUE(searcher.SearchBatch({}, {.k = 5}, nullptr).empty());
 }
 
 TEST_F(SearcherTest, SearchBeforeBuildAborts) {
@@ -122,7 +114,6 @@ TEST_F(SearcherTest, IndexAccessorBeforeBuildAborts) {
   SearcherConfig cfg;
   EmbeddingSearcher searcher(encoder_.get(), cfg);
   EXPECT_EQ(searcher.index_size(), 0u);  // size is safe on an empty searcher
-  EXPECT_DEATH(searcher.index(), "BuildIndex");
 }
 
 TEST_F(SearcherTest, IvfPqBuildOnEmptyRepositoryFails) {

@@ -202,6 +202,41 @@ TEST_F(ServeQueryServiceTest, ServeDeadlineExpiredAtAdmission) {
   service.Stop();
 }
 
+// A reused node carries no latency from its previous query. The resubmit
+// expires in the queue and never executes, so it reports exec_ms == 0 and
+// files nothing into dj_serve_execute_ms.
+TEST_F(ServeQueryServiceTest, ServeDeadlineReusedNodeReportsNoStaleExecMs) {
+  Request req;
+  req.query = &queries_[0];
+  req.options = {.k = 5};
+  {
+    QueryService first(searcher_.get(), QueryServiceConfig{});
+    first.Start();
+    ASSERT_TRUE(first.Query(&req).ok());
+    first.Stop();
+  }
+  ASSERT_GT(req.exec_ms, 0.0) << "the node must hold an earlier execution";
+
+  QueryServiceConfig cfg;
+  cfg.batcher.max_wait_ms = 10000;
+  cfg.batcher.idle_poll_ms = 10000;
+  QueryService service(searcher_.get(), cfg);
+  const metrics::Histogram* const exec =
+      metrics::MetricsRegistry::Global().GetHistogram("dj_serve_execute_ms");
+  const double exec_sum_before = exec->sum();
+  req.deadline = Deadline::AfterMillis(5);
+  req.done = [](Request*) {};
+  // Not started: the node sits queued past its deadline and the drain in
+  // Stop() expires it.
+  ASSERT_TRUE(service.Submit(&req).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  service.Stop();
+
+  EXPECT_EQ(req.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(req.exec_ms, 0.0);
+  EXPECT_EQ(exec->sum(), exec_sum_before);
+}
+
 // Deterministic backpressure: with the dispatcher not yet running, the
 // queue fills to exactly max_queue and the next Submit is rejected with
 // ResourceExhausted (and counted as such).

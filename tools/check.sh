@@ -35,7 +35,8 @@
 #                             open-loop serve stress (clients racing the
 #                             dispatcher and a live mutator) under TSan,
 #                             and the deadline short-circuit / backpressure
-#                             suites under ASan+UBSan
+#                             / shared-scan / StreamScan (served and
+#                             SearchBatch) suites under ASan+UBSan
 #   5. clang-tidy           over src/**.cc with the checked-in .clang-tidy
 #                             [skipped with a notice when absent]
 #
@@ -145,9 +146,9 @@ print('dj_stats: dj_alloc_count=%d dj_alloc_bytes=%d' \
   echo "=== [serve] TSan serve stress + batcher races ==="
   (cd "$ROOT/build-tsan" && ctest --output-on-failure --no-tests=error \
     -j "$JOBS" -R "Serve")
-  echo "=== [serve] ASan+UBSan deadline short-circuit + backpressure + shared scan ==="
+  echo "=== [serve] ASan+UBSan deadline short-circuit + backpressure + shared scan + StreamScan ==="
   (cd "$ROOT/build-asan" && ctest --output-on-failure --no-tests=error \
-    -j "$JOBS" -R "ServeDeadline|ServeBackpressure|ServeBatcher|FlatSharedScan")
+    -j "$JOBS" -R "ServeDeadline|ServeBackpressure|ServeBatcher|FlatSharedScan|StreamScan")
 
   # Optional clang-tidy leg over the checked-in .clang-tidy profile; the
   # plain build exported compile_commands.json.

@@ -1,14 +1,15 @@
 // dj_stats: reference dumper for the observability layer (DESIGN.md §9).
 // Drives a live pipeline — synthetic lake, FastText column encoder,
-// EmbeddingSearcher::BuildIndex, then a SearchBatch with per-query stats —
-// and dumps the resulting MetricsRegistry snapshot in JSON and/or
-// Prometheus text exposition format.
+// EmbeddingSearcher::BuildIndex, then a SearchBatch over the queries — and
+// dumps the resulting MetricsRegistry snapshot in JSON and/or Prometheus
+// text exposition format.
 //
 //   dj_stats [--repo=N] [--queries=N] [--k=N] [--backend=hnsw|flat|ivfpq]
 //            [--format=json|prom|both] [--per-query]
 //
-// --per-query additionally prints each query's trace-span breakdown (the
-// QueryStats tree), showing how encode/ANN time nests under the total.
+// --per-query additionally runs each query through Search and prints its
+// trace-span breakdown (the QueryStats tree rooted at searcher.search),
+// showing how encode/ANN time nests under the total.
 // Run with DJ_METRICS=off to see the kill switch: the dump comes out
 // empty because no call site recorded anything.
 #include <cstdio>
@@ -118,9 +119,10 @@ int main(int argc, char** argv) {
   if (per_query) {
     std::printf("--- per-query breakdown ---\n");
     for (size_t i = 0; i < outputs.size(); ++i) {
+      const auto out = searcher.Search(queries[i], {.k = k});
       std::printf("query %zu (\"%s\"):\n%s", i,
                   queries[i].meta.column_name.c_str(),
-                  outputs[i].stats.ToString().c_str());
+                  out.stats.ToString().c_str());
     }
   }
 
