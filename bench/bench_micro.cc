@@ -4,14 +4,12 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cmath>
-#include <cstring>
 #include <memory>
 
 #include "bench/common.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
-#include "nn/row_ops.h"
+#include "nn/transformer.h"
 #include "util/alloc_guard.h"
 #include "util/kernels.h"
 #include "util/metrics.h"
@@ -321,130 +319,46 @@ void BM_EncodeToVectorFastPath(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeToVectorFastPath)->Arg(0)->Arg(1)->Arg(2);
 
-// ForwardNoGrad's kernel calls replayed block by block at the MPNetSim
-// shape (d_model 64, 4 heads, d_ff 256, 2 layers, relative bias) for one
-// column of L = 50 tokens, the benchmark lake's mean. Each counter is one
-// block's microseconds per forward, summed over both layers; the
-// iteration time adds the input copy and the timer reads. Arg = GEMM path.
-void BM_ForwardBlocks(benchmark::State& state) {
-  if (!PinGemmPath(state, state.range(0))) return;
-  constexpr int L = 50, d = 64, heads = 4, dh = d / heads, d_ff = 256;
-  constexpr int kLayers = 2, ld_scores = 64, radius = 8;
-  constexpr int buckets = 2 * radius + 1;
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
-  struct Weights {
-    std::vector<float> wq, wk, wv, wo, bq, bk, bv, bo, ff1_w, ff1_b, ff2_w,
-        ff2_b, ln1_g, ln1_b, ln2_g, ln2_b, rel;
-  };
-  std::vector<Weights> layers(kLayers);
-  int salt = 100;
-  auto weights = [&salt](int n) {
-    std::vector<float> w = BenchVector(n, salt++);
-    for (float& v : w) v *= 0.125f;
-    return w;
-  };
-  for (Weights& w : layers) {
-    w.wq = weights(d * d), w.wk = weights(d * d), w.wv = weights(d * d);
-    w.wo = weights(d * d), w.bq = weights(d), w.bk = weights(d);
-    w.bv = weights(d), w.bo = weights(d);
-    w.ff1_w = weights(d * d_ff), w.ff1_b = weights(d_ff);
-    w.ff2_w = weights(d_ff * d), w.ff2_b = weights(d);
-    w.ln1_g = weights(d), w.ln1_b = weights(d);
-    w.ln2_g = weights(d), w.ln2_b = weights(d);
-    w.rel = weights(heads * buckets);
-  }
-  const std::vector<float> x0 = BenchVector(L * d, 7);
-  std::vector<float> x(x0.size()), q(x0.size()), k(x0.size()), v(x0.size()),
-      ctx(x0.size()), tmp(x0.size()), h1(static_cast<size_t>(L) * d_ff),
-      scores(static_cast<size_t>(L) * ld_scores), brow(2 * L - 1);
-  enum Block { kQkv, kQkT, kSoftmax, kV, kOutLn, kFfn1Gelu, kFfn2Ln, kBlocks };
-  static constexpr const char* kNames[kBlocks] = {
-      "qkv_us",    "qk_t_us",       "softmax_us", "v_us",
-      "out_ln_us", "ffn1_gelu_us", "ffn2_ln_us"};
-  double total_ns[kBlocks] = {};
+// Times the real workspace forward block by block: the shared MPNetSim
+// encoder (d_model 64, 4 heads, d_ff 256, 2 layers, relative bias) on one
+// column of L = 50 tokens, the benchmark lake's mean. A lap timer rides
+// the forward's probe: each counter is one block's microseconds per
+// forward, summed over both layers; the iteration time adds the
+// embedding, mean pooling, the workspace pool and the timer reads.
+// Arg = GEMM path.
+struct LapTimer final : nn::ForwardProbe {
   using Clock = std::chrono::steady_clock;
-  Clock::time_point mark;
-  auto lap = [&](Block b) {
+  void Lap(nn::ForwardBlock block) override {
     const Clock::time_point now = Clock::now();
-    total_ns[b] += std::chrono::duration<double, std::nano>(now - mark).count();
+    total_ns[static_cast<int>(block)] +=
+        std::chrono::duration<double, std::nano>(now - mark).count();
     mark = now;
-  };
-  auto zero = [](std::vector<float>& m) {
-    std::memset(m.data(), 0, m.size() * sizeof(float));
-  };
-  // Bias, residual add and LayerNorm after the output projection and FFN2.
-  auto add_ln = [&](const std::vector<float>& bias, const std::vector<float>& g,
-                    const std::vector<float>& be) {
-    for (int i = 0; i < L; ++i) {
-      float* xr = x.data() + i * d;
-      kern::Axpy(d, 1.0f, bias.data(), tmp.data() + i * d);
-      kern::Axpy(d, 1.0f, tmp.data() + i * d, xr);
-      nn::LayerNormRow(xr, d, g.data(), be.data(), 1e-5f, nullptr, xr);
-    }
-  };
-  for (auto _ : state) {
-    std::memcpy(x.data(), x0.data(), x0.size() * sizeof(float));
-    mark = Clock::now();
-    for (const Weights& w : layers) {
-      zero(q), zero(k), zero(v);
-      kern::SgemmNN(L, d, d, x.data(), d, w.wq.data(), d, q.data(), d);
-      kern::SgemmNN(L, d, d, x.data(), d, w.wk.data(), d, k.data(), d);
-      kern::SgemmNN(L, d, d, x.data(), d, w.wv.data(), d, v.data(), d);
-      for (int i = 0; i < L; ++i) {
-        kern::Axpy(d, 1.0f, w.bq.data(), q.data() + i * d);
-        kern::Axpy(d, 1.0f, w.bk.data(), k.data() + i * d);
-        kern::Axpy(d, 1.0f, w.bv.data(), v.data() + i * d);
-      }
-      zero(ctx);
-      lap(kQkv);
-      for (int h = 0; h < heads; ++h) {
-        for (int i = 0; i < L; ++i) {
-          std::memset(scores.data() + i * ld_scores, 0, sizeof(float) * L);
-        }
-        kern::SgemmNT(L, L, dh, q.data() + h * dh, d, k.data() + h * dh, d,
-                      scores.data(), ld_scores);
-        lap(kQkT);
-        for (int i = 0; i < L; ++i) {
-          float* srow = scores.data() + i * ld_scores;
-          kern::ScaleAdd(L, inv_sqrt_dh, srow, 0.0f, srow);
-        }
-        const float* trow = w.rel.data() + h * buckets;
-        for (int t = 0; t < 2 * L - 1; ++t) {
-          brow[t] = trow[nn::RelPosBucket(L - 1, t, radius, buckets)];
-        }
-        for (int i = 0; i < L; ++i) {
-          float* srow = scores.data() + i * ld_scores;
-          kern::Axpy(L, 1.0f, brow.data() + (L - 1 - i), srow);
-          kern::Softmax(L, srow, nullptr, srow);
-        }
-        lap(kSoftmax);
-        kern::SgemmNN(L, dh, L, scores.data(), ld_scores, v.data() + h * dh, d,
-                      ctx.data() + h * dh, d);
-        lap(kV);
-      }
-      zero(tmp);
-      kern::SgemmNN(L, d, d, ctx.data(), d, w.wo.data(), d, tmp.data(), d);
-      add_ln(w.bo, w.ln1_g, w.ln1_b);
-      lap(kOutLn);
-      zero(h1);
-      kern::SgemmNN(L, d_ff, d, x.data(), d, w.ff1_w.data(), d_ff, h1.data(),
-                    d_ff);
-      for (int i = 0; i < L; ++i) {
-        kern::Axpy(d_ff, 1.0f, w.ff1_b.data(), h1.data() + i * d_ff);
-      }
-      kern::GeluTanh(L * d_ff, h1.data(), h1.data());
-      lap(kFfn1Gelu);
-      zero(tmp);
-      kern::SgemmNN(L, d, d_ff, h1.data(), d_ff, w.ff2_w.data(), d, tmp.data(),
-                    d);
-      add_ln(w.ff2_b, w.ln2_g, w.ln2_b);
-      lap(kFfn2Ln);
-    }
-    benchmark::DoNotOptimize(x.data());
   }
-  for (int b = 0; b < kBlocks; ++b) {
+  Clock::time_point mark = Clock::now();
+  double total_ns[static_cast<int>(nn::ForwardBlock::kCount)] = {};
+};
+
+void BM_ForwardBlocks(benchmark::State& state) {
+  nn::TransformerEncoder& encoder = SharedMpnetEncoder().transformer();
+  if (!PinGemmPath(state, state.range(0))) return;
+  const nn::TransformerConfig& tc = encoder.config();
+  std::vector<u32> ids(50);
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = (i * 13) % tc.vocab_size;
+  std::vector<float> out(static_cast<size_t>(tc.d_model));
+  LapTimer timer;
+  for (auto _ : state) {
+    encoder.EncodeToVector(ids, out.data(), timer);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  // By ForwardBlock. kEmbed's lap only restarts the clock: it also spans
+  // the previous iteration's mean pool, so it gets no counter.
+  static constexpr const char* kNames[] = {
+      nullptr,     "qkv_us",       "qk_t_us",   "softmax_us", "v_us",
+      "out_ln_us", "ffn1_gelu_us", "ffn2_ln_us"};
+  for (int b = 1; b < static_cast<int>(nn::ForwardBlock::kCount); ++b) {
     state.counters[kNames[b]] = benchmark::Counter(
-        total_ns[b] * 1e-3, benchmark::Counter::kAvgIterations);
+        timer.total_ns[b] * 1e-3, benchmark::Counter::kAvgIterations);
   }
   kern::ClearForcedTierForTest();
 }

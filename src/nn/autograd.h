@@ -114,10 +114,9 @@ VarPtr SliceCols(const VarPtr& x, int start, int width);
 VarPtr ConcatCols(const std::vector<VarPtr>& parts);
 /// L2-normalizes each row (rows with zero norm pass through).
 VarPtr RowL2Normalize(const VarPtr& x);
-/// Adds a learned relative-position bias to attention scores. `table` is
-/// [1, num_buckets]; position pair (i,j) uses bucket clamp(j-i+R, 0, 2R)
-/// where num_buckets = 2R+1. Scores must be square [L,L] with L <= R+1
-/// unaffected... (out-of-range offsets clamp to the edge buckets).
+/// Adds a learned relative-position bias to square attention scores
+/// [L,L]. `table` is [1, 2R+1]; pair (i,j) uses bucket clamp(j-i+R, 0, 2R).
+/// Any L works: when L > R+1, offsets |j-i| > R share the edge buckets.
 VarPtr AddRelPosBias(const VarPtr& scores, const VarPtr& table);
 /// Multiple-negatives-ranking / InfoNCE loss: given a score matrix [N,N]
 /// where entry (i,j) scores pair (X_i, Y_j), returns the mean over rows of

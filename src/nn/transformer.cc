@@ -1,7 +1,10 @@
 #include "nn/transformer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
+#include <utility>
 
 #include "nn/row_ops.h"
 #include "util/kernels.h"
@@ -9,30 +12,46 @@
 namespace deepjoin {
 namespace nn {
 
-// Scratch for the allocation-free forward pass. Every matrix is sized for
+// Scratch for the workspace executor. Every matrix is sized for
 // max_seq_len once; a call over L tokens touches only the first L rows
 // (and, for `scores`, the first L columns — the kernels take leading
 // dimensions, and per util/kernels.h reduction chains do not depend on
-// them, so the values match the graph path's tightly-sized matrices).
-struct TransformerEncoder::Workspace {
-  Matrix x, q, k, v, ctx, tmp;  // [max_seq, d_model]
-  Matrix h1;                    // [max_seq, d_ff]
-  Matrix scores;                // [max_seq, max_seq]
-  Matrix bias;                  // [1, 2 * max_seq] relative bias by j - i
+// them, so the values match the graph executor's tightly-sized matrices).
+struct EncoderWorkspace {
+  Matrix x, ctx;     // [max_seq, d_model]
+  Matrix linear[5];  // by Slot: q, k, v, tmp [max_seq, d_model]; h1 d_ff
+  Matrix scores;     // [max_seq, max_seq]
+  Matrix bias;       // [1, 2 * max_seq] relative bias by j - i
 
-  explicit Workspace(const TransformerConfig& c)
+  explicit EncoderWorkspace(const TransformerConfig& c)
       : x(c.max_seq_len, c.d_model),
-        q(c.max_seq_len, c.d_model),
-        k(c.max_seq_len, c.d_model),
-        v(c.max_seq_len, c.d_model),
         ctx(c.max_seq_len, c.d_model),
-        tmp(c.max_seq_len, c.d_model),
-        h1(c.max_seq_len, c.d_ff),
+        linear{Matrix(c.max_seq_len, c.d_model),
+               Matrix(c.max_seq_len, c.d_model),
+               Matrix(c.max_seq_len, c.d_model),
+               Matrix(c.max_seq_len, c.d_model),
+               Matrix(c.max_seq_len, c.d_ff)},
         scores(c.max_seq_len, c.max_seq_len),
         bias(1, 2 * c.max_seq_len) {}
 };
 
 namespace {
+
+constexpr float kLayerNormEps = 1e-5f;
+
+/// The workspace matrix a Linear writes. The graph executor ignores it:
+/// each of its ops returns a fresh node.
+enum class Slot { kQ, kK, kV, kTmp, kH1 };
+
+/// The production probe: Forward's laps compile to nothing.
+struct NoProbe {
+  void Lap(ForwardBlock) {}
+};
+
+/// The id count after truncation to max_seq_len.
+int SeqLen(const std::vector<u32>& ids, const TransformerConfig& c) {
+  return std::min<int>(static_cast<int>(ids.size()), c.max_seq_len);
+}
 
 /// Zeroes the first `rows` rows of m (the workspace is reused, so stale
 /// values must be cleared before a GEMM accumulates into it).
@@ -40,6 +59,172 @@ void ZeroRows(Matrix& m, int rows) {
   std::memset(m.data(), 0,
               static_cast<size_t>(rows) * m.cols() * sizeof(float));
 }
+
+/// Runs each op with util/kernels.h kernels and nn/row_ops.h helpers into
+/// the workspace: no tape, no heap allocation. Each op computes what the
+/// autograd ops named in its comment compute, per element in the same
+/// order, so the output is bit-identical to the graph executor's.
+class WorkspaceExec {
+ public:
+  using Tensor = Matrix*;
+
+  WorkspaceExec(EncoderWorkspace& ws, const std::vector<u32>& ids,
+                const TransformerConfig& c, float* out)
+      : ws_(ws), ids_(ids.data()), L_(SeqLen(ids, c)),
+        dh_(c.d_model / c.num_heads), out_(out) {}
+
+  /// EmbeddingGather, then Add of the absolute positions when `pos` is set.
+  DJ_NOALLOC Tensor Embed(const VarPtr& tok, const VarPtr& pos) {
+    const Matrix& table = tok->value();
+    const int d = table.cols();
+    for (int i = 0; i < L_; ++i) {
+      DJ_CHECK(static_cast<int>(ids_[i]) < table.rows());
+      std::memcpy(ws_.x.row(i), table.row(static_cast<int>(ids_[i])),
+                  sizeof(float) * static_cast<size_t>(d));
+      if (pos) kern::Axpy(d, 1.0f, pos->value().row(i), ws_.x.row(i));
+    }
+    return &ws_.x;
+  }
+
+  /// MatMul + AddRowVector.
+  DJ_NOALLOC Tensor Linear(Tensor x, const VarPtr& w, const VarPtr& b,
+                           Slot slot) {
+    Matrix& y = ws_.linear[static_cast<int>(slot)];
+    const int n = w->cols();
+    ZeroRows(y, L_);
+    kern::SgemmNN(L_, n, w->rows(), x->data(), x->cols(), w->value().data(),
+                  n, y.data(), n);
+    for (int i = 0; i < L_; ++i) {
+      kern::Axpy(n, 1.0f, b->value().row(0), y.row(i));
+    }
+    return &y;
+  }
+
+  /// MatMulNT of head h's SliceCols of q and k (strided views here).
+  DJ_NOALLOC Tensor HeadScores(Tensor q, Tensor k, int h) {
+    Matrix& s = ws_.scores;
+    for (int i = 0; i < L_; ++i) {
+      std::memset(s.row(i), 0, sizeof(float) * static_cast<size_t>(L_));
+    }
+    kern::SgemmNT(L_, L_, dh_, q->data() + h * dh_, q->cols(),
+                  k->data() + h * dh_, k->cols(), s.data(), s.cols());
+    return &s;
+  }
+
+  /// Scale, AddRelPosBias when `rel_bias` is set, and RowSoftmax, in
+  /// place. The bias of (i, j) depends only on j - i, so one row
+  /// brow[t] = bias(L - 1, t) holds every row: row i is the slice starting
+  /// at L - 1 - i. Axpy with alpha 1 is the graph's exact add.
+  DJ_NOALLOC Tensor HeadSoftmax(Tensor s, float scale,
+                                const VarPtr* rel_bias) {
+    for (int i = 0; i < L_; ++i) {
+      kern::ScaleAdd(L_, scale, s->row(i), 0.0f, s->row(i));
+    }
+    if (rel_bias != nullptr) {
+      const Matrix& table = (*rel_bias)->value();
+      const int buckets = table.cols(), radius = (buckets - 1) / 2;
+      float* brow = ws_.bias.data();
+      for (int t = 0; t < 2 * L_ - 1; ++t) {
+        brow[t] = table.at(0, RelPosBucket(L_ - 1, t, radius, buckets));
+      }
+      for (int i = 0; i < L_; ++i) {
+        kern::Axpy(L_, 1.0f, brow + (L_ - 1 - i), s->row(i));
+      }
+    }
+    for (int i = 0; i < L_; ++i) {
+      kern::Softmax(L_, s->row(i), nullptr, s->row(i));
+    }
+    return s;
+  }
+
+  /// MatMul by head h's SliceCols of v, into head h's columns of ctx (the
+  /// ConcatCols that Context returns). Head 0 clears ctx for them all.
+  DJ_NOALLOC void HeadContext(Tensor a, Tensor v, int h) {
+    if (h == 0) ZeroRows(ws_.ctx, L_);
+    kern::SgemmNN(L_, dh_, L_, a->data(), a->cols(), v->data() + h * dh_,
+                  v->cols(), ws_.ctx.data() + h * dh_, ws_.ctx.cols());
+  }
+  DJ_NOALLOC Tensor Context() { return &ws_.ctx; }
+
+  /// Add (the residual) + LayerNormRows, into x.
+  DJ_NOALLOC Tensor AddLayerNorm(Tensor x, Tensor y, const VarPtr& g,
+                                 const VarPtr& b) {
+    const int d = x->cols();
+    for (int i = 0; i < L_; ++i) {
+      kern::Axpy(d, 1.0f, y->row(i), x->row(i));
+      LayerNormRow(x->row(i), d, g->value().row(0), b->value().row(0),
+                   kLayerNormEps, /*xhat=*/nullptr, x->row(i));
+    }
+    return x;
+  }
+
+  DJ_NOALLOC Tensor Gelu(Tensor h) {
+    kern::GeluTanh(L_ * h->cols(), h->data(), h->data());
+    return h;
+  }
+
+  /// MaskedMeanPool, into the caller's `out`.
+  DJ_NOALLOC void MeanPool(Tensor x) {
+    const int d = x->cols();
+    std::memset(out_, 0, sizeof(float) * static_cast<size_t>(d));
+    for (int i = 0; i < L_; ++i) kern::Axpy(d, 1.0f, x->row(i), out_);
+    kern::ScaleAdd(d, 1.0f / static_cast<float>(L_), out_, 0.0f, out_);
+  }
+
+ private:
+  EncoderWorkspace& ws_;
+  const u32* ids_;
+  int L_, dh_;
+  float* out_;
+};
+
+/// Records each op on the autograd tape as the ops of nn/autograd.h, so
+/// training backpropagates through their own backward closures. Under a
+/// NoGradGuard the same ops build no tape.
+class GraphExec {
+ public:
+  using Tensor = VarPtr;
+
+  GraphExec(const std::vector<u32>& ids, const TransformerConfig& c)
+      : ids_(ids.begin(), ids.begin() + SeqLen(ids, c)),
+        dh_(c.d_model / c.num_heads) {}
+
+  VarPtr Embed(const VarPtr& tok, const VarPtr& pos) {
+    VarPtr x = EmbeddingGather(tok, ids_);
+    if (pos == nullptr) return x;
+    std::vector<u32> pos_ids(ids_.size());
+    std::iota(pos_ids.begin(), pos_ids.end(), 0u);
+    return Add(x, EmbeddingGather(pos, pos_ids));
+  }
+  VarPtr Linear(const VarPtr& x, const VarPtr& w, const VarPtr& b, Slot) {
+    return AddRowVector(MatMul(x, w), b);
+  }
+  VarPtr HeadScores(const VarPtr& q, const VarPtr& k, int h) {
+    return MatMulNT(SliceCols(q, h * dh_, dh_), SliceCols(k, h * dh_, dh_));
+  }
+  VarPtr HeadSoftmax(VarPtr s, float scale, const VarPtr* rel_bias) {
+    s = Scale(s, scale);
+    if (rel_bias != nullptr) s = AddRelPosBias(s, *rel_bias);
+    return RowSoftmax(s, nullptr);
+  }
+  void HeadContext(const VarPtr& a, const VarPtr& v, int h) {
+    heads_.push_back(MatMul(a, SliceCols(v, h * dh_, dh_)));
+  }
+  VarPtr Context() { return ConcatCols(std::exchange(heads_, {})); }
+  VarPtr AddLayerNorm(const VarPtr& x, const VarPtr& y, const VarPtr& g,
+                      const VarPtr& b) {
+    return LayerNormRows(Add(x, y), g, b, kLayerNormEps);
+  }
+  VarPtr Gelu(const VarPtr& h) { return nn::Gelu(h); }
+  VarPtr MeanPool(const VarPtr& x) {
+    return MaskedMeanPool(x, static_cast<int>(ids_.size()));
+  }
+
+ private:
+  std::vector<u32> ids_;
+  int dh_;
+  std::vector<VarPtr> heads_;  // this layer's per-head contexts so far
+};
 
 }  // namespace
 
@@ -127,62 +312,59 @@ void TransformerEncoder::InitTokenEmbedding(u32 token_id,
   for (int j = 0; j < d; ++j) row[j] = vec[j];
 }
 
-VarPtr TransformerEncoder::Encode(const std::vector<u32>& ids) {
-  DJ_CHECK(!ids.empty());
-  std::vector<u32> truncated = ids;
-  if (static_cast<int>(truncated.size()) > config_.max_seq_len) {
-    truncated.resize(config_.max_seq_len);
-  }
-  const int L = static_cast<int>(truncated.size());
-  const int d = config_.d_model;
-  const int heads = config_.num_heads;
-  const int dh = d / heads;
+TransformerEncoder::~TransformerEncoder() = default;
+
+// The one forward body. Each executor op ends at a fusion boundary, and
+// each probe lap ends a block of BM_ForwardBlocks.
+template <class Exec, class Probe>
+auto TransformerEncoder::Forward(Exec& ex, Probe& probe) {
+  using Tensor = typename Exec::Tensor;
+  const int dh = config_.d_model / config_.num_heads;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
-
-  VarPtr x = EmbeddingGather(token_emb_, truncated);
-  if (config_.position_mode == PositionMode::kAbsolute) {
-    std::vector<u32> pos_ids(truncated.size());
-    for (int i = 0; i < L; ++i) pos_ids[i] = static_cast<u32>(i);
-    x = Add(x, EmbeddingGather(pos_emb_, pos_ids));
-  }
-
-  for (auto& layer : layers_) {
+  Tensor x = ex.Embed(token_emb_, pos_emb_);
+  probe.Lap(ForwardBlock::kEmbed);
+  for (const Layer& layer : layers_) {
     // Multi-head self-attention (post-LN residual block, as in
     // BERT/DistilBERT).
-    VarPtr q = AddRowVector(MatMul(x, layer.wq), layer.bq);
-    VarPtr k = AddRowVector(MatMul(x, layer.wk), layer.bk);
-    VarPtr v = AddRowVector(MatMul(x, layer.wv), layer.bv);
-    std::vector<VarPtr> head_outputs;
-    head_outputs.reserve(heads);
-    for (int h = 0; h < heads; ++h) {
-      VarPtr qh = SliceCols(q, h * dh, dh);
-      VarPtr kh = SliceCols(k, h * dh, dh);
-      VarPtr vh = SliceCols(v, h * dh, dh);
-      VarPtr scores = Scale(MatMulNT(qh, kh), inv_sqrt_dh);
-      if (config_.position_mode == PositionMode::kRelativeBias) {
-        scores = AddRelPosBias(scores, layer.rel_bias[h]);
-      }
-      VarPtr attn = RowSoftmax(scores, nullptr);
-      head_outputs.push_back(MatMul(attn, vh));
+    Tensor q = ex.Linear(x, layer.wq, layer.bq, Slot::kQ);
+    Tensor k = ex.Linear(x, layer.wk, layer.bk, Slot::kK);
+    Tensor v = ex.Linear(x, layer.wv, layer.bv, Slot::kV);
+    probe.Lap(ForwardBlock::kQkv);
+    for (int h = 0; h < config_.num_heads; ++h) {
+      Tensor scores = ex.HeadScores(q, k, h);
+      probe.Lap(ForwardBlock::kQkT);
+      const VarPtr* rel = layer.rel_bias.empty() ? nullptr : &layer.rel_bias[h];
+      Tensor attn = ex.HeadSoftmax(scores, inv_sqrt_dh, rel);
+      probe.Lap(ForwardBlock::kSoftmax);
+      ex.HeadContext(attn, v, h);
+      probe.Lap(ForwardBlock::kV);
     }
-    VarPtr ctx = ConcatCols(head_outputs);
-    VarPtr attn_out = AddRowVector(MatMul(ctx, layer.wo), layer.bo);
-    x = LayerNormRows(Add(x, attn_out), layer.ln1_g, layer.ln1_b);
+    Tensor attn_out = ex.Linear(ex.Context(), layer.wo, layer.bo, Slot::kTmp);
+    x = ex.AddLayerNorm(x, attn_out, layer.ln1_g, layer.ln1_b);
+    probe.Lap(ForwardBlock::kOutLn);
 
     // Feed-forward block.
-    VarPtr h1 = Gelu(AddRowVector(MatMul(x, layer.ff1_w), layer.ff1_b));
-    VarPtr h2 = AddRowVector(MatMul(h1, layer.ff2_w), layer.ff2_b);
-    x = LayerNormRows(Add(x, h2), layer.ln2_g, layer.ln2_b);
+    Tensor h1 = ex.Gelu(ex.Linear(x, layer.ff1_w, layer.ff1_b, Slot::kH1));
+    probe.Lap(ForwardBlock::kFfn1Gelu);
+    Tensor h2 = ex.Linear(h1, layer.ff2_w, layer.ff2_b, Slot::kTmp);
+    x = ex.AddLayerNorm(x, h2, layer.ln2_g, layer.ln2_b);
+    probe.Lap(ForwardBlock::kFfn2Ln);
   }
+  return ex.MeanPool(x);
+}
 
-  return MaskedMeanPool(x, L);
+VarPtr TransformerEncoder::Encode(const std::vector<u32>& ids) {
+  DJ_CHECK(!ids.empty());
+  GraphExec ex(ids, config_);
+  NoProbe probe;
+  return Forward(ex, probe);
 }
 
 std::vector<float> TransformerEncoder::EncodeToVector(
     const std::vector<u32>& ids) {
   // Convenience overload: allocates its result by design. (dj_alloc merges
-  // both EncodeToVector overloads under one key; the out-param one below
-  // carries the DJ_NOALLOC contract.)
+  // the EncodeToVector overloads under one key; the out-param ones below
+  // carry the DJ_NOALLOC contract.)
   std::vector<float> out(  // dj_alloc: allow(alloc)
       static_cast<size_t>(config_.d_model));
   EncodeToVector(ids, out.data());
@@ -191,162 +373,40 @@ std::vector<float> TransformerEncoder::EncodeToVector(
 
 void TransformerEncoder::EncodeToVector(const std::vector<u32>& ids,
                                         float* out) {
-  DJ_CHECK(!ids.empty());
-  const int L = std::min<int>(static_cast<int>(ids.size()),
-                              config_.max_seq_len);
-  std::unique_ptr<Workspace> ws = AcquireWorkspace();
-  ForwardNoGrad(ids.data(), L, *ws, out);
-  ReleaseWorkspace(std::move(ws));
+  NoProbe probe;
+  ForwardInWorkspace(ids, out, probe);
 }
 
-TransformerEncoder::~TransformerEncoder() = default;
+void TransformerEncoder::EncodeToVector(const std::vector<u32>& ids,
+                                        float* out, ForwardProbe& probe) {
+  ForwardInWorkspace(ids, out, probe);
+}
 
-std::unique_ptr<TransformerEncoder::Workspace>
-TransformerEncoder::AcquireWorkspace() {
+template <class Probe>
+void TransformerEncoder::ForwardInWorkspace(const std::vector<u32>& ids,
+                                            float* out, Probe& probe) {
+  DJ_CHECK(!ids.empty());
+  std::unique_ptr<EncoderWorkspace> ws;
   {
     MutexLock lock(ws_mu_);
     if (!ws_free_.empty()) {
-      std::unique_ptr<Workspace> ws = std::move(ws_free_.back());
+      ws = std::move(ws_free_.back());
       ws_free_.pop_back();
-      return ws;
     }
   }
   // Allocate outside the lock (same scheme as HNSW's VisitedPool). Pool
-  // warmup: once every concurrent caller owns a workspace the free list
-  // always satisfies Acquire.
-  return std::make_unique<Workspace>(config_);  // dj_alloc: allow(alloc)
-}
-
-void TransformerEncoder::ReleaseWorkspace(std::unique_ptr<Workspace> ws) {
+  // warmup: once every concurrent caller owns a workspace, the free list
+  // always has one.
+  if (ws == nullptr) {
+    ws = std::make_unique<EncoderWorkspace>(config_);  // dj_alloc: allow(alloc)
+  }
+  WorkspaceExec ex(*ws, ids, config_, out);
+  Forward(ex, probe);
   MutexLock lock(ws_mu_);
   // Pool-vector growth is warmup-only: capacity reaches the maximum
   // number of concurrent encoders and then every push reuses the slot
   // its workspace was popped from.
   ws_free_.push_back(std::move(ws));  // dj_alloc: allow(alloc)
-}
-
-// Mirrors Encode() op for op: every step below runs the same kernel calls
-// and nn/row_ops.h helpers as the corresponding autograd forward, in the
-// same order, so the result is bit-identical to Encode() under
-// NoGradGuard. When changing either path, change both.
-void TransformerEncoder::ForwardNoGrad(const u32* ids, int L, Workspace& ws,
-                                       float* out) {
-  const int d = config_.d_model;
-  const int heads = config_.num_heads;
-  const int dh = d / heads;
-  const int d_ff = config_.d_ff;
-  const int ld_scores = config_.max_seq_len;
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
-
-  // Token (+ absolute position) embeddings — EmbeddingGather / Add.
-  const Matrix& tok = token_emb_->value();
-  for (int i = 0; i < L; ++i) {
-    DJ_CHECK(static_cast<int>(ids[i]) < tok.rows());
-    std::memcpy(ws.x.row(i), tok.row(static_cast<int>(ids[i])),
-                sizeof(float) * static_cast<size_t>(d));
-  }
-  if (config_.position_mode == PositionMode::kAbsolute) {
-    const Matrix& pos = pos_emb_->value();
-    for (int i = 0; i < L; ++i) {
-      kern::Axpy(d, 1.0f, pos.row(i), ws.x.row(i));
-    }
-  }
-
-  for (auto& layer : layers_) {
-    // Q/K/V projections — MatMul + AddRowVector.
-    ZeroRows(ws.q, L);
-    ZeroRows(ws.k, L);
-    ZeroRows(ws.v, L);
-    kern::SgemmNN(L, d, d, ws.x.data(), d, layer.wq->value().data(), d,
-                  ws.q.data(), d);
-    kern::SgemmNN(L, d, d, ws.x.data(), d, layer.wk->value().data(), d,
-                  ws.k.data(), d);
-    kern::SgemmNN(L, d, d, ws.x.data(), d, layer.wv->value().data(), d,
-                  ws.v.data(), d);
-    for (int i = 0; i < L; ++i) {
-      kern::Axpy(d, 1.0f, layer.bq->value().row(0), ws.q.row(i));
-      kern::Axpy(d, 1.0f, layer.bk->value().row(0), ws.k.row(i));
-      kern::Axpy(d, 1.0f, layer.bv->value().row(0), ws.v.row(i));
-    }
-
-    // Per-head attention into the ctx columns (the graph path's SliceCols /
-    // ConcatCols become strided kernel views).
-    ZeroRows(ws.ctx, L);
-    for (int h = 0; h < heads; ++h) {
-      const float* qh = ws.q.data() + h * dh;
-      const float* kh = ws.k.data() + h * dh;
-      const float* vh = ws.v.data() + h * dh;
-      float* sc = ws.scores.data();
-      for (int i = 0; i < L; ++i) {
-        std::memset(ws.scores.row(i), 0,
-                    sizeof(float) * static_cast<size_t>(L));
-      }
-      kern::SgemmNT(L, L, dh, qh, d, kh, d, sc, ld_scores);
-      for (int i = 0; i < L; ++i) {
-        float* srow = ws.scores.row(i);
-        kern::ScaleAdd(L, inv_sqrt_dh, srow, 0.0f, srow);  // Scale
-      }
-      if (config_.position_mode == PositionMode::kRelativeBias) {
-        // AddRelPosBias. The bias of (i, j) depends only on j - i, so one
-        // row brow[t] = bias(L - 1, t) holds every row: row i is the slice
-        // starting at L - 1 - i. Axpy with alpha 1 is the graph's exact add.
-        const Matrix& table = layer.rel_bias[h]->value();
-        const int buckets = table.cols();
-        const int radius = (buckets - 1) / 2;
-        const float* trow = table.row(0);
-        float* brow = ws.bias.data();
-        for (int t = 0; t < 2 * L - 1; ++t) {
-          brow[t] = trow[RelPosBucket(L - 1, t, radius, buckets)];
-        }
-        for (int i = 0; i < L; ++i) {
-          kern::Axpy(L, 1.0f, brow + (L - 1 - i), ws.scores.row(i));
-        }
-      }
-      for (int i = 0; i < L; ++i) {
-        float* srow = ws.scores.row(i);
-        kern::Softmax(L, srow, nullptr, srow);  // RowSoftmax
-      }
-      kern::SgemmNN(L, dh, L, sc, ld_scores, vh, d, ws.ctx.data() + h * dh,
-                    d);
-    }
-
-    // Output projection + residual + LayerNorm.
-    ZeroRows(ws.tmp, L);
-    kern::SgemmNN(L, d, d, ws.ctx.data(), d, layer.wo->value().data(), d,
-                  ws.tmp.data(), d);
-    for (int i = 0; i < L; ++i) {
-      kern::Axpy(d, 1.0f, layer.bo->value().row(0), ws.tmp.row(i));
-      kern::Axpy(d, 1.0f, ws.tmp.row(i), ws.x.row(i));  // Add (residual)
-      LayerNormRow(ws.x.row(i), d, layer.ln1_g->value().row(0),
-                   layer.ln1_b->value().row(0), 1e-5f, /*xhat=*/nullptr,
-                   ws.x.row(i));
-    }
-
-    // Feed-forward block.
-    ZeroRows(ws.h1, L);
-    kern::SgemmNN(L, d_ff, d, ws.x.data(), d, layer.ff1_w->value().data(),
-                  d_ff, ws.h1.data(), d_ff);
-    for (int i = 0; i < L; ++i) {
-      kern::Axpy(d_ff, 1.0f, layer.ff1_b->value().row(0), ws.h1.row(i));
-    }
-    kern::GeluTanh(L * d_ff, ws.h1.data(), ws.h1.data());
-    ZeroRows(ws.tmp, L);
-    kern::SgemmNN(L, d, d_ff, ws.h1.data(), d_ff,
-                  layer.ff2_w->value().data(), d, ws.tmp.data(), d);
-    for (int i = 0; i < L; ++i) {
-      kern::Axpy(d, 1.0f, layer.ff2_b->value().row(0), ws.tmp.row(i));
-      kern::Axpy(d, 1.0f, ws.tmp.row(i), ws.x.row(i));
-      LayerNormRow(ws.x.row(i), d, layer.ln2_g->value().row(0),
-                   layer.ln2_b->value().row(0), 1e-5f, /*xhat=*/nullptr,
-                   ws.x.row(i));
-    }
-  }
-
-  // Mean pool over the L rows — MaskedMeanPool.
-  std::memset(out, 0, sizeof(float) * static_cast<size_t>(d));
-  for (int i = 0; i < L; ++i) kern::Axpy(d, 1.0f, ws.x.row(i), out);
-  const float inv = 1.0f / static_cast<float>(L);
-  kern::ScaleAdd(d, inv, out, 0.0f, out);
 }
 
 }  // namespace nn

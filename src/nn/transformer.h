@@ -36,6 +36,22 @@ struct TransformerConfig {
   u64 seed = 1234;
 };
 
+/// The forward's blocks, in the order a layer ends them; kEmbed ends once,
+/// before the first layer. kQkT, kSoftmax and kV end once per head.
+enum class ForwardBlock {
+  kEmbed, kQkv, kQkT, kSoftmax, kV, kOutLn, kFfn1Gelu, kFfn2Ln, kCount
+};
+
+/// Told where each block of the workspace forward ends, for block timing.
+class ForwardProbe {
+ public:
+  virtual ~ForwardProbe() = default;
+  virtual void Lap(ForwardBlock block) = 0;
+};
+
+/// Scratch matrices of the workspace forward (defined in transformer.cc).
+struct EncoderWorkspace;
+
 /// Named parameter collection; the optimizer iterates over this.
 class ParamStore {
  public:
@@ -57,7 +73,7 @@ class ParamStore {
 class TransformerEncoder {
  public:
   explicit TransformerEncoder(const TransformerConfig& config);
-  ~TransformerEncoder();  // out-of-line: Workspace is incomplete here
+  ~TransformerEncoder();  // out-of-line: EncoderWorkspace is incomplete
 
   const TransformerConfig& config() const { return config_; }
   ParamStore& params() { return params_; }
@@ -75,16 +91,21 @@ class TransformerEncoder {
   /// Inference-only convenience: mean-pooled embedding as a plain vector.
   std::vector<float> EncodeToVector(const std::vector<u32>& ids);
 
-  /// Allocation-free inference fast path: writes the [d_model] mean-pooled
-  /// embedding to `out`. Runs through a pooled per-encoder Workspace
-  /// (scratch matrices sized once for max_seq_len) instead of building an
-  /// autograd graph, so the hot search/index loops do no per-op heap
-  /// allocation. Bit-identical to Encode() under NoGradGuard: both paths
-  /// run the same kernels and the same per-row helpers (nn/row_ops.h) in
-  /// the same order. Safe for concurrent calls (the workspace pool hands
-  /// each call its own scratch — same scheme as HNSW's VisitedPool).
-  /// DJ_NOALLOC steady state: after the workspace pool has warmed up.
+  /// Allocation-free inference: writes the [d_model] mean-pooled embedding
+  /// to `out`. Runs the forward body that Encode records on the tape on a
+  /// workspace executor instead (both in transformer.cc): the same kernels
+  /// and nn/row_ops.h helpers in the same order, so the result is
+  /// bit-identical to Encode() under NoGradGuard, but with no tape and no
+  /// per-op heap allocation. Concurrent calls are safe: a pool hands each
+  /// its own scratch (same scheme as HNSW's VisitedPool). DJ_NOALLOC once
+  /// the pool has warmed up.
   DJ_NOALLOC void EncodeToVector(const std::vector<u32>& ids, float* out);
+
+  /// The same forward with `probe` told where each block ends
+  /// (bench_micro's BM_ForwardBlocks). The overload above runs it with an
+  /// empty probe type, so production pays no call for this.
+  DJ_NOALLOC void EncodeToVector(const std::vector<u32>& ids, float* out,
+                                 ForwardProbe& probe);
 
  private:
   struct Layer {
@@ -95,15 +116,15 @@ class TransformerEncoder {
     std::vector<VarPtr> rel_bias;  // one [1, 2R+1] table per head
   };
 
-  struct Workspace;  // defined in transformer.cc
-
-  std::unique_ptr<Workspace> AcquireWorkspace() DJ_EXCLUDES(ws_mu_);
-  void ReleaseWorkspace(std::unique_ptr<Workspace> ws) DJ_EXCLUDES(ws_mu_);
-
-  /// Runs the forward pass over `L` already-truncated ids into `out`
-  /// ([d_model] floats) using only the workspace scratch.
-  DJ_NOALLOC void ForwardNoGrad(const u32* ids, int L, Workspace& ws,
-                                float* out);
+  /// Embedding, the layer sequence and mean pooling, written once over
+  /// the ops of an executor (both executors live in transformer.cc).
+  template <class Exec, class Probe>
+  auto Forward(Exec& ex, Probe& probe);
+  /// Runs Forward on the workspace executor, over a workspace borrowed
+  /// from the pool.
+  template <class Probe>
+  void ForwardInWorkspace(const std::vector<u32>& ids, float* out,
+                          Probe& probe) DJ_EXCLUDES(ws_mu_);
 
   TransformerConfig config_;
   ParamStore params_;
@@ -115,7 +136,8 @@ class TransformerEncoder {
   // never share one (ColumnEncoder's concurrency contract fans encoding
   // across a ThreadPool).
   Mutex ws_mu_{"transformer.workspace", rank::kWorkspace};
-  std::vector<std::unique_ptr<Workspace>> ws_free_ DJ_GUARDED_BY(ws_mu_);
+  std::vector<std::unique_ptr<EncoderWorkspace>> ws_free_
+      DJ_GUARDED_BY(ws_mu_);
 };
 
 }  // namespace nn

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
@@ -110,6 +114,66 @@ TEST(TransformerTest, ContrastiveTrainingSeparatesPairs) {
   auto a2 = enc.EncodeToVector({12, 13, 14});
   auto b1 = enc.EncodeToVector({30, 31, 32});
   EXPECT_GT(cosine(a1, a2), cosine(a1, b1));
+}
+
+// Finite differences through the whole encoder, for sampled entries of
+// every parameter tensor. The forward-only tests cannot see an op that
+// runs outside the tape (a residual added in place, say): the values stay
+// right and only the gradients go wrong.
+TEST(TransformerTest, EncodeGradientsMatchFiniteDifferences) {
+  for (PositionMode mode :
+       {PositionMode::kAbsolute, PositionMode::kRelativeBias}) {
+    TransformerConfig c;
+    c.vocab_size = 20;
+    c.d_model = 8;
+    c.num_layers = 2;
+    c.num_heads = 2;
+    c.d_ff = 16;
+    c.max_seq_len = 10;
+    c.position_mode = mode;
+    c.rel_radius = 2;  // L = 7 > R + 1, so the edge buckets are clamped
+    TransformerEncoder enc(c);
+    // Larger weights than the N(0, 0.02) init, so that every block is
+    // nonlinear and gradients are well above finite-difference noise.
+    Rng rng(11);
+    for (const VarPtr& p : enc.params().params()) {
+      p->mutable_value().RandomNormal(rng, 0.5);
+    }
+    const std::vector<u32> ids = {3, 17, 5, 5, 12, 0, 9};
+    Matrix w(c.d_model, 1);
+    for (int r = 0; r < c.d_model; ++r) w.at(r, 0) = 0.3f + 0.1f * (r % 5);
+    const VarPtr weights = MakeVar(std::move(w));
+    auto loss = [&] { return MatMul(enc.Encode(ids), weights); };
+    Backward(loss());
+
+    const float h = 1e-2f;
+    const auto& params = enc.params().params();
+    for (size_t pi = 0; pi < params.size(); ++pi) {
+      Matrix& value = params[pi]->mutable_value();
+      const Matrix& grad = params[pi]->grad();
+      // The two entries with the largest gradients, and one fixed entry.
+      std::vector<size_t> order(value.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::partial_sort(order.begin(), order.begin() + 2, order.end(),
+                        [&](size_t a, size_t b) {
+                          return std::abs(grad.data()[a]) >
+                                 std::abs(grad.data()[b]);
+                        });
+      for (size_t i : {order[0], order[1], value.size() / 2}) {
+        NoGradGuard guard;
+        const float x = value.data()[i];
+        value.data()[i] = x + h;
+        const double up = loss()->value().at(0, 0);
+        value.data()[i] = x - h;
+        const double down = loss()->value().at(0, 0);
+        value.data()[i] = x;
+        const double numeric = (up - down) / (2.0 * h);
+        EXPECT_NEAR(grad.data()[i], numeric, 2e-3 + 2e-2 * std::abs(numeric))
+            << enc.params().names()[pi] << "[" << i << "] mode "
+            << static_cast<int>(mode);
+      }
+    }
+  }
 }
 
 TEST(TransformerTest, ParamStoreCountsScalars) {

@@ -22,16 +22,16 @@
 #                             live-index lifecycle tests under ASan+UBSan,
 #                             so a mutability regression fails as its own
 #                             labeled line, not buried in a full-suite leg
-#   4b. lock-rank build     + Debug tree with -DDJ_LOCK_RANK=ON running the
-#                             death/tsan/lint labels (runtime rank
-#                             enforcement, dj_deadlock fixtures, tree scan)
-#                             and a dj_lockgraph JSON/DOT smoke dump
-#   4c. alloc-guard build   + Debug tree with -DDJ_ALLOC_GUARD=ON running
-#                             the death/lint labels (ScopedAllocBan aborts,
-#                             the zero-allocation steady-state search proof,
-#                             dj_alloc fixtures + tree scan) and a guarded
-#                             dj_stats smoke checking the tallies export
-#   4d. serve leg           + the serving-layer suites re-run by name: the
+#   4b. guard build         + one Debug tree (Debug defaults both
+#                             DJ_LOCK_RANK and DJ_ALLOC_GUARD ON) running
+#                             the death/tsan/lint labels: runtime rank
+#                             enforcement and ScopedAllocBan aborts, the
+#                             zero-allocation steady-state search proof,
+#                             the dj_deadlock and dj_alloc fixtures + tree
+#                             scans; then a dj_lockgraph JSON/DOT smoke
+#                             dump and a dj_stats smoke checking the
+#                             alloc tallies export
+#   4c. serve leg           + the serving-layer suites re-run by name: the
 #                             open-loop serve stress (clients racing the
 #                             dispatcher and a live mutator) under TSan,
 #                             and the deadline short-circuit / backpressure
@@ -108,31 +108,27 @@ if [[ "$QUICK" == "0" ]]; then
   (cd "$ROOT/build-asan" && ctest --output-on-failure --no-tests=error \
     -j "$JOBS" -R "ChurnTorture|LiveIndex|LiveStore")
 
-  # Lock discipline (DESIGN.md §10): Debug defaults DJ_LOCK_RANK=ON, so
-  # the death label exercises the runtime aborts (rank inversion,
-  # re-entry, condvar-with-second-lock), tsan hammers the hook
-  # bookkeeping, and lint runs dj_deadlock over fixtures + the real tree.
+  # Lock and allocation discipline (DESIGN.md §10, §11). Debug defaults
+  # DJ_LOCK_RANK and DJ_ALLOC_GUARD ON, so one tree covers both: the death
+  # label exercises the runtime aborts (rank inversion, re-entry,
+  # condvar-with-second-lock, ScopedAllocBan), tsan hammers the hook
+  # bookkeeping, the guarded steady-state search test proves zero
+  # allocations per query for real, and lint runs dj_deadlock and
+  # dj_alloc over their fixtures plus the real tree.
   # NB: $ctest_args is intentionally word-split in run_profile, so the
   # label regex must stay unquoted (quotes would end up inside the regex
   # and silently select the wrong tests).
-  run_profile build-lockrank "lock-rank (Debug)" "-L death|tsan|lint" \
-    -DCMAKE_BUILD_TYPE=Debug -DDJ_LOCK_RANK=ON
-  echo "=== [lock-rank (Debug)] dj_lockgraph: observed-graph dump ==="
-  "$ROOT/build-lockrank/tools/dj_lockgraph" --format=json \
+  run_profile build-guard "guard (Debug)" "-L death|tsan|lint" \
+    -DCMAKE_BUILD_TYPE=Debug -DDJ_LOCK_RANK=ON -DDJ_ALLOC_GUARD=ON
+  echo "=== [guard (Debug)] dj_lockgraph: observed-graph dump ==="
+  "$ROOT/build-guard/tools/dj_lockgraph" --format=json \
     | python3 -c "import json,sys; d=json.load(sys.stdin); \
 print('dj_lockgraph: %d nodes, %d edges' % (len(d['nodes']), len(d['edges'])))"
-  "$ROOT/build-lockrank/tools/dj_lockgraph" --format=dot >/dev/null
-
-  # Allocation discipline (DESIGN.md §11): Debug defaults DJ_ALLOC_GUARD=ON,
-  # so the death label exercises the ScopedAllocBan aborts, the guarded
-  # steady-state search test proves zero allocations per query for real,
-  # and lint runs dj_alloc over its fixtures plus the real tree. The
-  # dj_stats smoke confirms the guard's process-wide tallies reach the
-  # metrics snapshot (a live pipeline allocates, so the count is nonzero).
-  run_profile build-allocguard "alloc-guard (Debug)" "-L death|lint" \
-    -DCMAKE_BUILD_TYPE=Debug -DDJ_ALLOC_GUARD=ON
-  echo "=== [alloc-guard (Debug)] dj_stats: alloc tallies exported ==="
-  "$ROOT/build-allocguard/tools/dj_stats" --repo=64 --queries=4 \
+  "$ROOT/build-guard/tools/dj_lockgraph" --format=dot >/dev/null
+  # The guard's process-wide tallies reach the metrics snapshot (a live
+  # pipeline allocates, so the count is nonzero).
+  echo "=== [guard (Debug)] dj_stats: alloc tallies exported ==="
+  "$ROOT/build-guard/tools/dj_stats" --repo=64 --queries=4 \
       --format=json 2>/dev/null \
     | python3 -c "import json,sys; g=json.load(sys.stdin)['gauges']; \
 assert g['dj_alloc_count'] > 0 and g['dj_alloc_bytes'] > 0, g; \
