@@ -3,6 +3,7 @@
 // These complement the table harnesses: they isolate per-component cost.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 
@@ -60,8 +61,19 @@ bool PinTier(benchmark::State& state, std::int64_t tier_arg) {
 
 // The GEMM and encoder benchmarks take a GEMM path instead: 0 = scalar,
 // 1 = avx2+fma on the 8-lane 4x16 microkernel, 2 = the same tier on the
-// 16-lane 8x32 AVX-512 microkernel (skipped when the host lacks it).
+// 16-lane 8x32 AVX-512 microkernel (skipped when the host lacks it). The
+// encoder benchmarks also take 3 = the unforced detected tier with the
+// AMX-BF16 linear (skipped where kern::AmxLinearActive() is false).
 bool PinGemmPath(benchmark::State& state, std::int64_t path_arg) {
+  if (path_arg == 3) {
+    kern::ClearForcedTierForTest();
+    if (!kern::AmxLinearActive()) {
+      state.SkipWithError("AMX-BF16 linear unavailable on this host");
+      return false;
+    }
+    state.SetLabel(kern::LinearPathName());
+    return true;
+  }
   if (!PinTier(state, path_arg == 0 ? 0 : 1)) return false;
   if (path_arg == 1) kern::PinAvx2GemmForTest();
   if (path_arg == 2 && kern::ActiveGemmPath() != kern::GemmPath::kAvx512) {
@@ -298,26 +310,28 @@ core::PlmColumnEncoder& SharedMpnetEncoder() {
   return *encoder;
 }
 
+// Encodes a fixed set of the lake's first 256 columns, each encoded once
+// before the clock starts: scratch buffers grow to the longest column seen,
+// so the tally below sees the steady state, not first-call growth.
 void BM_EncodeToVectorFastPath(benchmark::State& state) {
   auto& env = SharedEnv();
   auto& encoder = SharedMpnetEncoder();
   if (!PinGemmPath(state, state.range(0))) return;
   std::vector<float> out(static_cast<size_t>(encoder.dim()));
-  size_t i = 0;
-  // Warm the thread-local scratch and workspace pool so the tally below
-  // sees the steady state, not first-call growth.
-  encoder.EncodeInto(env.repo().column(0), out.data());
+  const u32 columns = std::min<u32>(256, static_cast<u32>(env.repo().size()));
+  for (u32 c = 0; c < columns; ++c) {
+    encoder.EncodeInto(env.repo().column(c), out.data());
+  }
+  u32 i = 0;
   alloc_guard::ScopedAllocCount tally;
   for (auto _ : state) {
-    encoder.EncodeInto(
-        env.repo().column(static_cast<u32>(i++ % env.repo().size())),
-        out.data());
+    encoder.EncodeInto(env.repo().column(i++ % columns), out.data());
     benchmark::DoNotOptimize(out.data());
   }
   ReportAllocsPerOp(state, tally);
   kern::ClearForcedTierForTest();
 }
-BENCHMARK(BM_EncodeToVectorFastPath)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_EncodeToVectorFastPath)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // Times the real workspace forward block by block: the shared MPNetSim
 // encoder (d_model 64, 4 heads, d_ff 256, 2 layers, relative bias) on one
@@ -354,15 +368,77 @@ void BM_ForwardBlocks(benchmark::State& state) {
   // By ForwardBlock. kEmbed's lap only restarts the clock: it also spans
   // the previous iteration's mean pool, so it gets no counter.
   static constexpr const char* kNames[] = {
-      nullptr,     "qkv_us",       "qk_t_us",   "softmax_us", "v_us",
-      "out_ln_us", "ffn1_gelu_us", "ffn2_ln_us"};
+      nullptr, "qkv_us", "attn_us", "out_ln_us", "ffn1_gelu_us", "ffn2_ln_us"};
   for (int b = 1; b < static_cast<int>(nn::ForwardBlock::kCount); ++b) {
     state.counters[kNames[b]] = benchmark::Counter(
         timer.total_ns[b] * 1e-3, benchmark::Counter::kAvgIterations);
   }
   kern::ClearForcedTierForTest();
 }
-BENCHMARK(BM_ForwardBlocks)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ForwardBlocks)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+// One attention head at the MPNetSim shape: L = 50 tokens, d_head 16,
+// with a relative-bias row. Arg = GEMM path.
+void BM_Attention(benchmark::State& state) {
+  if (!PinGemmPath(state, state.range(0))) return;
+  const int L = 50, dh = 16, ld = 64;
+  const auto q = BenchVector(L * ld, 14);
+  const auto k = BenchVector(L * ld, 15);
+  const auto v = BenchVector(L * ld, 16);
+  const auto bias = BenchVector(2 * L - 1, 17);
+  std::vector<float> scores(static_cast<size_t>(L) * L);
+  std::vector<float> out(static_cast<size_t>(L) * ld);
+  for (auto _ : state) {
+    kern::Attention(L, dh, q.data(), k.data(), v.data(), ld, 0.25f,
+                    bias.data(), scores.data(), L, out.data(), ld);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  kern::ClearForcedTierForTest();
+}
+BENCHMARK(BM_Attention)->Arg(0)->Arg(1)->Arg(2);
+
+// One forward linear at the MPNetSim shapes over L = 50 rows: the Q, K,
+// V and output projections (k = n = 64), FFN1 (64 -> 256, GELU) and FFN2
+// (256 -> 64). Args: k, n, gelu, path (0 = SgemmNN plus the bias and
+// GELU epilogue via kern::Linear on the 16-lane path, 1 = kern::AmxLinear
+// from a weight packed once, activation rounding included).
+void BM_Linear(benchmark::State& state) {
+  const int m = 50;
+  const int k = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const bool gelu = state.range(2) != 0;
+  const bool amx = state.range(3) == 1;
+  if (!PinGemmPath(state, amx ? 3 : 2)) return;
+  const auto x = BenchVector(m * k, 11);
+  const auto w = BenchVector(k * n, 12);
+  const auto bias = BenchVector(n, 13);
+  std::vector<float> y(static_cast<size_t>(m) * n);
+  std::vector<u16> packed, xbuf;
+  if (amx) {
+    packed.resize(kern::AmxPackedWeightSize(k, n));
+    xbuf.resize(kern::AmxActivationSize(m, k));
+    kern::AmxPackWeight(k, n, w.data(), packed.data());
+    kern::AmxBegin();
+  }
+  for (auto _ : state) {
+    if (amx) {
+      kern::AmxLinear(m, n, k, x.data(), k, packed.data(), bias.data(), gelu,
+                      xbuf.data(), y.data(), n);
+    } else {
+      kern::Linear(m, n, k, x.data(), k, w.data(), bias.data(), gelu,
+                   y.data(), n);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  if (amx) kern::AmxEnd();
+  kern::ClearForcedTierForTest();
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+BENCHMARK(BM_Linear)->ArgsProduct({{64}, {64}, {0}, {0, 1}})
+    ->ArgsProduct({{64}, {256}, {1}, {0, 1}})
+    ->ArgsProduct({{256}, {64}, {0}, {0, 1}});
 
 // The forward pass's two transcendental loops at the MPNetSim shapes: one
 // FFN row (d_ff 256) and one attention-score row (L = 50, the mean

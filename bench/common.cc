@@ -68,10 +68,12 @@ BenchEnv::BenchEnv(const BenchConfig& config) : config_(config) {
   fc.dim = config.ft_dim;
   ft_ = std::make_unique<FastTextEmbedder>(fc);
   ft_->TrainSynonyms(gen_->SynonymLexicon(), 0.8, 2);
-  std::printf("[env] corpus=%s repo=%zu sample=%zu queries=%zu (%.1fs)\n",
-              config.corpus.c_str(), repo_.size(), sample_.size(),
-              queries_.size(), t.ElapsedSeconds());
-  std::fflush(stdout);
+  // stderr, so a bench's stdout stays machine-readable (bench_micro
+  // --benchmark_format=json).
+  std::fprintf(stderr,
+               "[env] corpus=%s repo=%zu sample=%zu queries=%zu (%.1fs)\n",
+               config.corpus.c_str(), repo_.size(), sample_.size(),
+               queries_.size(), t.ElapsedSeconds());
 }
 
 BenchEnv::BenchEnv(const BenchConfig& config, lake::Repository repo,

@@ -28,7 +28,13 @@ class Var {
       : value_(std::move(value)), requires_grad_(requires_grad) {}
 
   const Matrix& value() const { return value_; }
-  Matrix& mutable_value() { return value_; }
+  /// Write access bumps version(): call it for each update, so caches of
+  /// the value (the inference workspace's bf16 weight copies) see it.
+  Matrix& mutable_value() {
+    ++version_;
+    return value_;
+  }
+  u64 version() const { return version_; }
 
   /// Gradient buffer; allocated lazily on first access.
   Matrix& grad() {
@@ -54,6 +60,7 @@ class Var {
  private:
   Matrix value_;
   Matrix grad_;
+  u64 version_ = 0;
   bool requires_grad_;
 };
 

@@ -1,5 +1,5 @@
-// Shared per-row forward helpers for the transformer ops that have no
-// kernel in util/kernels.h: LayerNorm and the relative-position bucket.
+// Shared per-row forward helpers for the transformer ops: LayerNorm (a
+// util/kernels.h kernel) and the relative-position bucket.
 // Both the autograd ops (nn/autograd.cc) and the allocation-free inference
 // path (TransformerEncoder's workspace forward in nn/transformer.cc) call
 // these same inline functions, so the two paths share one definition and
@@ -8,37 +8,21 @@
 #ifndef DEEPJOIN_NN_ROW_OPS_H_
 #define DEEPJOIN_NN_ROW_OPS_H_
 
-#include <cmath>
+#include "util/kernels.h"
 
 namespace deepjoin {
 namespace nn {
 
-/// LayerNorm over one row with learned gain/bias. Mean/variance accumulate
-/// in double (the documented exception to float accumulation: n <= d_ff
-/// and the backward pass depends on a well-conditioned inverse stddev).
-/// Writes the normalized row to `xhat` when non-null (the backward pass
-/// caches it) and returns the inverse stddev. In-place (x == out) is
-/// allowed: per element, x[j] is read before out[j] is written.
+/// LayerNorm over one row with learned gain/bias: kern::LayerNorm, whose
+/// mean/variance accumulate in double (the documented exception to float
+/// accumulation: n <= d_ff and the backward pass depends on a
+/// well-conditioned inverse stddev). Writes the normalized row to `xhat`
+/// when non-null (the backward pass caches it) and returns the inverse
+/// stddev. In-place (x == out) is allowed.
 inline float LayerNormRow(const float* x, int n, const float* gamma,
                           const float* beta, float eps, float* xhat,
                           float* out) {
-  double mean = 0.0;
-  for (int j = 0; j < n; ++j) mean += x[j];
-  mean /= n;
-  double var = 0.0;
-  for (int j = 0; j < n; ++j) {
-    const double d = x[j] - mean;
-    var += d * d;
-  }
-  var /= n;
-  const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
-  const float fmean = static_cast<float>(mean);
-  for (int j = 0; j < n; ++j) {
-    const float h = (x[j] - fmean) * is;
-    if (xhat != nullptr) xhat[j] = h;
-    out[j] = gamma[j] * h + beta[j];
-  }
-  return is;
+  return kern::LayerNorm(n, x, gamma, beta, eps, xhat, out);
 }
 
 /// Relative-position bucket for score position (i, j) with clip radius R:

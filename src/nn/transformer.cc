@@ -23,6 +23,19 @@ struct EncoderWorkspace {
   Matrix scores;     // [max_seq, max_seq]
   Matrix bias;       // [1, 2 * max_seq] relative bias by j - i
 
+  // AMX hosts only (kern::AmxLinearAvailable): one bf16 copy per linear
+  // weight, in the order Forward calls them (6 per layer), each tagged
+  // with the Var and version it was packed from; then the activation tile
+  // buffer.
+  struct Pack {
+    const Var* src = nullptr;
+    u64 version = 0;
+    size_t offset = 0;
+  };
+  std::vector<Pack> packs;
+  std::vector<u16, kern::AlignedAllocator<u16, 64>> bf16;
+  size_t act_offset = 0;
+
   explicit EncoderWorkspace(const TransformerConfig& c)
       : x(c.max_seq_len, c.d_model),
         ctx(c.max_seq_len, c.d_model),
@@ -32,7 +45,19 @@ struct EncoderWorkspace {
                Matrix(c.max_seq_len, c.d_model),
                Matrix(c.max_seq_len, c.d_ff)},
         scores(c.max_seq_len, c.max_seq_len),
-        bias(1, 2 * c.max_seq_len) {}
+        bias(1, 2 * c.max_seq_len) {
+    if (!kern::AmxLinearAvailable()) return;
+    const int d = c.d_model, f = c.d_ff;
+    const int shapes[6][2] = {{d, d}, {d, d}, {d, d}, {d, d}, {d, f}, {f, d}};
+    for (int l = 0; l < c.num_layers; ++l) {
+      for (const auto& kn : shapes) {
+        packs.push_back({nullptr, 0, act_offset});
+        act_offset += kern::AmxPackedWeightSize(kn[0], kn[1]);
+      }
+    }
+    bf16.resize(act_offset +
+                kern::AmxActivationSize(c.max_seq_len, std::max(d, f)));
+  }
 };
 
 namespace {
@@ -53,13 +78,6 @@ int SeqLen(const std::vector<u32>& ids, const TransformerConfig& c) {
   return std::min<int>(static_cast<int>(ids.size()), c.max_seq_len);
 }
 
-/// Zeroes the first `rows` rows of m (the workspace is reused, so stale
-/// values must be cleared before a GEMM accumulates into it).
-void ZeroRows(Matrix& m, int rows) {
-  std::memset(m.data(), 0,
-              static_cast<size_t>(rows) * m.cols() * sizeof(float));
-}
-
 /// Runs each op with util/kernels.h kernels and nn/row_ops.h helpers into
 /// the workspace: no tape, no heap allocation. Each op computes what the
 /// autograd ops named in its comment compute, per element in the same
@@ -69,9 +87,9 @@ class WorkspaceExec {
   using Tensor = Matrix*;
 
   WorkspaceExec(EncoderWorkspace& ws, const std::vector<u32>& ids,
-                const TransformerConfig& c, float* out)
+                const TransformerConfig& c, bool amx, float* out)
       : ws_(ws), ids_(ids.data()), L_(SeqLen(ids, c)),
-        dh_(c.d_model / c.num_heads), out_(out) {}
+        dh_(c.d_model / c.num_heads), amx_(amx), out_(out) {}
 
   /// EmbeddingGather, then Add of the absolute positions when `pos` is set.
   DJ_NOALLOC Tensor Embed(const VarPtr& tok, const VarPtr& pos) {
@@ -86,63 +104,52 @@ class WorkspaceExec {
     return &ws_.x;
   }
 
-  /// MatMul + AddRowVector.
+  /// MatMul + AddRowVector (+ Gelu when `gelu`): kern::Linear, or on the
+  /// AMX path kern::AmxLinear from the workspace's bf16 copy of w, packed
+  /// again whenever w is another Var or has been written since.
   DJ_NOALLOC Tensor Linear(Tensor x, const VarPtr& w, const VarPtr& b,
-                           Slot slot) {
+                           Slot slot, bool gelu = false) {
     Matrix& y = ws_.linear[static_cast<int>(slot)];
-    const int n = w->cols();
-    ZeroRows(y, L_);
-    kern::SgemmNN(L_, n, w->rows(), x->data(), x->cols(), w->value().data(),
-                  n, y.data(), n);
-    for (int i = 0; i < L_; ++i) {
-      kern::Axpy(n, 1.0f, b->value().row(0), y.row(i));
+    const int k = w->rows(), n = w->cols();
+    if (!amx_) {
+      kern::Linear(L_, n, k, x->data(), x->cols(), w->value().data(),
+                   b->value().row(0), gelu, y.data(), n);
+      return &y;
     }
+    EncoderWorkspace::Pack& pack = ws_.packs[next_pack_++];
+    u16* packed = ws_.bf16.data() + pack.offset;
+    if (pack.src != w.get() || pack.version != w->version()) {
+      kern::AmxPackWeight(k, n, w->value().data(), packed);
+      pack.src = w.get();
+      pack.version = w->version();
+    }
+    kern::AmxLinear(L_, n, k, x->data(), x->cols(), packed, b->value().row(0),
+                    gelu, ws_.bf16.data() + ws_.act_offset, y.data(), n);
     return &y;
   }
 
-  /// MatMulNT of head h's SliceCols of q and k (strided views here).
-  DJ_NOALLOC Tensor HeadScores(Tensor q, Tensor k, int h) {
-    Matrix& s = ws_.scores;
-    for (int i = 0; i < L_; ++i) {
-      std::memset(s.row(i), 0, sizeof(float) * static_cast<size_t>(L_));
-    }
-    kern::SgemmNT(L_, L_, dh_, q->data() + h * dh_, q->cols(),
-                  k->data() + h * dh_, k->cols(), s.data(), s.cols());
-    return &s;
-  }
-
-  /// Scale, AddRelPosBias when `rel_bias` is set, and RowSoftmax, in
-  /// place. The bias of (i, j) depends only on j - i, so one row
-  /// brow[t] = bias(L - 1, t) holds every row: row i is the slice starting
-  /// at L - 1 - i. Axpy with alpha 1 is the graph's exact add.
-  DJ_NOALLOC Tensor HeadSoftmax(Tensor s, float scale,
-                                const VarPtr* rel_bias) {
-    for (int i = 0; i < L_; ++i) {
-      kern::ScaleAdd(L_, scale, s->row(i), 0.0f, s->row(i));
-    }
+  /// Head h's SliceCols of q, k and v through MatMulNT, Scale,
+  /// AddRelPosBias when `rel_bias` is set, RowSoftmax and MatMul, into
+  /// head h's columns of ctx (the ConcatCols that Context returns). The
+  /// bias of (i, j) depends only on j - i, so one row brow[t] =
+  /// bias(L - 1, t) holds every row: row i is the slice starting at
+  /// L - 1 - i.
+  DJ_NOALLOC void Attention(Tensor q, Tensor k, Tensor v, int h, float scale,
+                            const VarPtr* rel_bias) {
+    const float* brow = nullptr;
     if (rel_bias != nullptr) {
       const Matrix& table = (*rel_bias)->value();
       const int buckets = table.cols(), radius = (buckets - 1) / 2;
-      float* brow = ws_.bias.data();
+      float* row = ws_.bias.data();
       for (int t = 0; t < 2 * L_ - 1; ++t) {
-        brow[t] = table.at(0, RelPosBucket(L_ - 1, t, radius, buckets));
+        row[t] = table.at(0, RelPosBucket(L_ - 1, t, radius, buckets));
       }
-      for (int i = 0; i < L_; ++i) {
-        kern::Axpy(L_, 1.0f, brow + (L_ - 1 - i), s->row(i));
-      }
+      brow = row;
     }
-    for (int i = 0; i < L_; ++i) {
-      kern::Softmax(L_, s->row(i), nullptr, s->row(i));
-    }
-    return s;
-  }
-
-  /// MatMul by head h's SliceCols of v, into head h's columns of ctx (the
-  /// ConcatCols that Context returns). Head 0 clears ctx for them all.
-  DJ_NOALLOC void HeadContext(Tensor a, Tensor v, int h) {
-    if (h == 0) ZeroRows(ws_.ctx, L_);
-    kern::SgemmNN(L_, dh_, L_, a->data(), a->cols(), v->data() + h * dh_,
-                  v->cols(), ws_.ctx.data() + h * dh_, ws_.ctx.cols());
+    const int off = h * dh_;
+    kern::Attention(L_, dh_, q->data() + off, k->data() + off,
+                    v->data() + off, q->cols(), scale, brow, ws_.scores.data(),
+                    ws_.scores.cols(), ws_.ctx.data() + off, ws_.ctx.cols());
   }
   DJ_NOALLOC Tensor Context() { return &ws_.ctx; }
 
@@ -158,11 +165,6 @@ class WorkspaceExec {
     return x;
   }
 
-  DJ_NOALLOC Tensor Gelu(Tensor h) {
-    kern::GeluTanh(L_ * h->cols(), h->data(), h->data());
-    return h;
-  }
-
   /// MaskedMeanPool, into the caller's `out`.
   DJ_NOALLOC void MeanPool(Tensor x) {
     const int d = x->cols();
@@ -175,6 +177,8 @@ class WorkspaceExec {
   EncoderWorkspace& ws_;
   const u32* ids_;
   int L_, dh_;
+  bool amx_;
+  int next_pack_ = 0;  // the next linear's index into ws_.packs
   float* out_;
 };
 
@@ -196,26 +200,25 @@ class GraphExec {
     std::iota(pos_ids.begin(), pos_ids.end(), 0u);
     return Add(x, EmbeddingGather(pos, pos_ids));
   }
-  VarPtr Linear(const VarPtr& x, const VarPtr& w, const VarPtr& b, Slot) {
-    return AddRowVector(MatMul(x, w), b);
+  VarPtr Linear(const VarPtr& x, const VarPtr& w, const VarPtr& b, Slot,
+                bool gelu = false) {
+    VarPtr y = AddRowVector(MatMul(x, w), b);
+    return gelu ? nn::Gelu(y) : y;
   }
-  VarPtr HeadScores(const VarPtr& q, const VarPtr& k, int h) {
-    return MatMulNT(SliceCols(q, h * dh_, dh_), SliceCols(k, h * dh_, dh_));
-  }
-  VarPtr HeadSoftmax(VarPtr s, float scale, const VarPtr* rel_bias) {
-    s = Scale(s, scale);
+  void Attention(const VarPtr& q, const VarPtr& k, const VarPtr& v, int h,
+                 float scale, const VarPtr* rel_bias) {
+    VarPtr s = Scale(
+        MatMulNT(SliceCols(q, h * dh_, dh_), SliceCols(k, h * dh_, dh_)),
+        scale);
     if (rel_bias != nullptr) s = AddRelPosBias(s, *rel_bias);
-    return RowSoftmax(s, nullptr);
-  }
-  void HeadContext(const VarPtr& a, const VarPtr& v, int h) {
-    heads_.push_back(MatMul(a, SliceCols(v, h * dh_, dh_)));
+    heads_.push_back(
+        MatMul(RowSoftmax(s, nullptr), SliceCols(v, h * dh_, dh_)));
   }
   VarPtr Context() { return ConcatCols(std::exchange(heads_, {})); }
   VarPtr AddLayerNorm(const VarPtr& x, const VarPtr& y, const VarPtr& g,
                       const VarPtr& b) {
     return LayerNormRows(Add(x, y), g, b, kLayerNormEps);
   }
-  VarPtr Gelu(const VarPtr& h) { return nn::Gelu(h); }
   VarPtr MeanPool(const VarPtr& x) {
     return MaskedMeanPool(x, static_cast<int>(ids_.size()));
   }
@@ -331,20 +334,17 @@ auto TransformerEncoder::Forward(Exec& ex, Probe& probe) {
     Tensor v = ex.Linear(x, layer.wv, layer.bv, Slot::kV);
     probe.Lap(ForwardBlock::kQkv);
     for (int h = 0; h < config_.num_heads; ++h) {
-      Tensor scores = ex.HeadScores(q, k, h);
-      probe.Lap(ForwardBlock::kQkT);
       const VarPtr* rel = layer.rel_bias.empty() ? nullptr : &layer.rel_bias[h];
-      Tensor attn = ex.HeadSoftmax(scores, inv_sqrt_dh, rel);
-      probe.Lap(ForwardBlock::kSoftmax);
-      ex.HeadContext(attn, v, h);
-      probe.Lap(ForwardBlock::kV);
+      ex.Attention(q, k, v, h, inv_sqrt_dh, rel);
+      probe.Lap(ForwardBlock::kAttn);
     }
     Tensor attn_out = ex.Linear(ex.Context(), layer.wo, layer.bo, Slot::kTmp);
     x = ex.AddLayerNorm(x, attn_out, layer.ln1_g, layer.ln1_b);
     probe.Lap(ForwardBlock::kOutLn);
 
     // Feed-forward block.
-    Tensor h1 = ex.Gelu(ex.Linear(x, layer.ff1_w, layer.ff1_b, Slot::kH1));
+    Tensor h1 = ex.Linear(x, layer.ff1_w, layer.ff1_b, Slot::kH1,
+                          /*gelu=*/true);
     probe.Lap(ForwardBlock::kFfn1Gelu);
     Tensor h2 = ex.Linear(h1, layer.ff2_w, layer.ff2_b, Slot::kTmp);
     x = ex.AddLayerNorm(x, h2, layer.ln2_g, layer.ln2_b);
@@ -400,8 +400,12 @@ void TransformerEncoder::ForwardInWorkspace(const std::vector<u32>& ids,
   if (ws == nullptr) {
     ws = std::make_unique<EncoderWorkspace>(config_);  // dj_alloc: allow(alloc)
   }
-  WorkspaceExec ex(*ws, ids, config_, out);
+  // The tile configuration is per thread, so it brackets the forward.
+  const bool amx = kern::AmxLinearActive();
+  if (amx) kern::AmxBegin();
+  WorkspaceExec ex(*ws, ids, config_, amx, out);
   Forward(ex, probe);
+  if (amx) kern::AmxEnd();
   MutexLock lock(ws_mu_);
   // Pool-vector growth is warmup-only: capacity reaches the maximum
   // number of concurrent encoders and then every push reuses the slot

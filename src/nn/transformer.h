@@ -37,9 +37,9 @@ struct TransformerConfig {
 };
 
 /// The forward's blocks, in the order a layer ends them; kEmbed ends once,
-/// before the first layer. kQkT, kSoftmax and kV end once per head.
+/// before the first layer. kAttn ends once per head.
 enum class ForwardBlock {
-  kEmbed, kQkv, kQkT, kSoftmax, kV, kOutLn, kFfn1Gelu, kFfn2Ln, kCount
+  kEmbed, kQkv, kAttn, kOutLn, kFfn1Gelu, kFfn2Ln, kCount
 };
 
 /// Told where each block of the workspace forward ends, for block timing.
@@ -96,9 +96,13 @@ class TransformerEncoder {
   /// workspace executor instead (both in transformer.cc): the same kernels
   /// and nn/row_ops.h helpers in the same order, so the result is
   /// bit-identical to Encode() under NoGradGuard, but with no tape and no
-  /// per-op heap allocation. Concurrent calls are safe: a pool hands each
-  /// its own scratch (same scheme as HNSW's VisitedPool). DJ_NOALLOC once
-  /// the pool has warmed up.
+  /// per-op heap allocation. The exception: when kern::AmxLinearActive(),
+  /// the six per-layer linears run on AMX-BF16 tiles (util/kernels.h's
+  /// bf16 contract) from bf16 weight copies that each workspace repacks
+  /// when a weight's Var::version() moves. Concurrent calls are safe: a
+  /// pool hands each its own scratch (same scheme as HNSW's VisitedPool),
+  /// and the result does not depend on the thread. DJ_NOALLOC once the
+  /// pool has warmed up.
   DJ_NOALLOC void EncodeToVector(const std::vector<u32>& ids, float* out);
 
   /// The same forward with `probe` told where each block ends

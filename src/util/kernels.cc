@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 // The one translation unit allowed to touch SIMD intrinsics (dj_lint rule
@@ -12,6 +13,8 @@
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define DJ_KERNELS_X86 1
 #include <immintrin.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 #endif
 
 namespace deepjoin {
@@ -117,6 +120,27 @@ void SoftmaxScalar(int n, const float* x, const float* mask, float* out) {
   }
   const float inv = static_cast<float>(1.0 / sum);
   for (int j = 0; j < n; ++j) out[j] *= inv;
+}
+
+float LayerNormScalar(int n, const float* x, const float* gamma,
+                      const float* beta, float eps, float* xhat, float* out) {
+  double mean = 0.0;
+  for (int j = 0; j < n; ++j) mean += x[j];
+  mean /= n;
+  double var = 0.0;
+  for (int j = 0; j < n; ++j) {
+    const double d = x[j] - mean;
+    var += d * d;
+  }
+  var /= n;
+  const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
+  const float fmean = static_cast<float>(mean);
+  for (int j = 0; j < n; ++j) {
+    const float h = (x[j] - fmean) * is;
+    if (xhat != nullptr) xhat[j] = h;
+    out[j] = gamma[j] * h + beta[j];
+  }
+  return is;
 }
 
 // GEMM k-block, shared by every path so the per-element chain (seeded 0
@@ -377,20 +401,26 @@ void GeluTanhAvx2(int n, const float* x, float* out) {
   }
 }
 
+/// Softmax of x * scale (+ mask). Softmax passes scale 1 (an exact
+/// multiply); Attention folds its scale and bias row in here, which gives
+/// the bits of a separate ScaleAdd and Axpy(1) pass.
 __attribute__((target("avx2,fma")))
-void SoftmaxAvx2(int n, const float* x, const float* mask, float* out) {
+void SoftmaxAvx2(int n, const float* x, float scale, const float* mask,
+                 float* out) {
   const int body = n & ~7;
   const __m256i tail = Mask8(n - body);
-  // Pass 1: out = x (+ mask), running max seeded like the scalar tier.
+  const __m256 sv = _mm256_set1_ps(scale);
+  // Pass 1: out = x * scale (+ mask), running max seeded like the scalar
+  // tier.
   __m256 vmax = _mm256_set1_ps(-1e30f);
   for (int i = 0; i < body; i += 8) {
-    __m256 v = _mm256_loadu_ps(x + i);
+    __m256 v = _mm256_mul_ps(sv, _mm256_loadu_ps(x + i));
     if (mask != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(mask + i));
     _mm256_storeu_ps(out + i, v);
     vmax = _mm256_max_ps(vmax, v);
   }
   if (body < n) {
-    __m256 v = _mm256_maskload_ps(x + body, tail);
+    __m256 v = _mm256_mul_ps(sv, _mm256_maskload_ps(x + body, tail));
     if (mask != nullptr) {
       v = _mm256_add_ps(v, _mm256_maskload_ps(mask + body, tail));
     }
@@ -425,6 +455,256 @@ void SoftmaxAvx2(int n, const float* x, const float* mask, float* out) {
     _mm256_maskstore_ps(
         out + body, tail,
         _mm256_mul_ps(_mm256_maskload_ps(out + body, tail), inv));
+  }
+}
+
+// Fixed-order sum of 4 double lanes: (l0+l2) + (l1+l3).
+__attribute__((target("avx2")))
+inline double HSum4d(__m256d acc) {
+  const __m128d s2 = _mm_add_pd(_mm256_castpd256_pd128(acc),
+                                _mm256_extractf128_pd(acc, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(s2, _mm_unpackhi_pd(s2, s2)));
+}
+
+// The 8 floats at x (the first `valid` of them; the rest read as 0),
+// widened to two 4-lane doubles.
+__attribute__((target("avx2")))
+inline void Widen8(const float* x, int valid, __m256d& lo, __m256d& hi) {
+  const __m256 v = valid >= 8 ? _mm256_loadu_ps(x)
+                              : _mm256_maskload_ps(x, Mask8(valid));
+  lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+  hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+}
+
+__attribute__((target("avx2,fma")))
+float LayerNormAvx2(int n, const float* x, const float* gamma,
+                    const float* beta, float eps, float* xhat, float* out) {
+  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
+  for (int i = 0; i < n; i += 8) {
+    __m256d lo, hi;
+    Widen8(x + i, n - i, lo, hi);
+    acc0 = _mm256_add_pd(acc0, lo);
+    acc1 = _mm256_add_pd(acc1, hi);
+  }
+  const double mean = HSum4d(_mm256_add_pd(acc0, acc1)) / n;
+  const __m256d mv = _mm256_set1_pd(mean);
+  acc0 = _mm256_setzero_pd();
+  acc1 = _mm256_setzero_pd();
+  for (int i = 0; i < n; i += 8) {
+    __m256d lo, hi;
+    Widen8(x + i, n - i, lo, hi);
+    __m256d d0 = _mm256_sub_pd(lo, mv), d1 = _mm256_sub_pd(hi, mv);
+    if (n - i < 8) {
+      // Tail lanes read 0, so their deviation is -mean: zero it.
+      const __m256i m = Mask8(n - i);
+      d0 = _mm256_and_pd(d0, _mm256_castsi256_pd(_mm256_cvtepi32_epi64(
+                                 _mm256_castsi256_si128(m))));
+      d1 = _mm256_and_pd(d1, _mm256_castsi256_pd(_mm256_cvtepi32_epi64(
+                                 _mm256_extracti128_si256(m, 1))));
+    }
+    acc0 = _mm256_fmadd_pd(d0, d0, acc0);
+    acc1 = _mm256_fmadd_pd(d1, d1, acc1);
+  }
+  const double var = HSum4d(_mm256_add_pd(acc0, acc1)) / n;
+  const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
+  const __m256 fm = _mm256_set1_ps(static_cast<float>(mean));
+  const __m256 isv = _mm256_set1_ps(is);
+  // x == out: each 8-block is read before it is written.
+  for (int i = 0; i < n; i += 8) {
+    const __m256i m = Mask8(std::min(8, n - i));
+    const __m256 h =
+        _mm256_mul_ps(_mm256_sub_ps(_mm256_maskload_ps(x + i, m), fm), isv);
+    if (xhat != nullptr) _mm256_maskstore_ps(xhat + i, m, h);
+    _mm256_maskstore_ps(out + i, m,
+                        _mm256_fmadd_ps(_mm256_maskload_ps(gamma + i, m), h,
+                                        _mm256_maskload_ps(beta + i, m)));
+  }
+  return is;
+}
+
+// ---- 16-lane helpers ------------------------------------------------------
+//
+// Exp16 and Gelu16 do the operations of Exp8 and Gelu8 per lane, so they
+// give the same bits; the attention kernel and the AMX store use them.
+
+// GCC 12 reports its own undefined pass-through operand in several
+// unmasked AVX-512 intrinsics as maybe-uninitialized, so the code below
+// spells them as their all-lanes maskz forms (the same instructions).
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+// First `valid` of 16 lanes (all for valid >= 16, none for valid <= 0).
+inline __mmask16 Mask16(int valid) {
+  if (valid >= 16) return 0xFFFF;
+  return valid <= 0 ? 0 : static_cast<__mmask16>((1u << valid) - 1u);
+}
+
+/// The low and high 8 lanes (half 0 or 1) of a 16-lane vector.
+__attribute__((target("avx512f")))
+inline __m256 Half8(__m512 v, int half) {
+  return _mm256_castpd_ps(
+      half == 0 ? _mm512_maskz_extractf64x4_pd(0xFF, _mm512_castps_pd(v), 0)
+                : _mm512_maskz_extractf64x4_pd(0xFF, _mm512_castps_pd(v), 1));
+}
+
+/// The maximum of the 16 lanes, in every lane.
+__attribute__((target("avx512f,avx2")))
+inline __m512 BroadcastMax16(__m512 v) {
+  const __m256 m8 = _mm256_max_ps(Half8(v, 0), Half8(v, 1));
+  __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(m8),
+                         _mm256_extractf128_ps(m8, 1));
+  m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+  m4 = _mm_max_ss(m4, _mm_movehdup_ps(m4));
+  return _mm512_maskz_broadcastss_ps(kAll16, m4);
+}
+
+/// Exp8 on 16 lanes.
+__attribute__((target("avx512f")))
+inline __m512 Exp16(__m512 x) {
+  const __m512 lo = _mm512_set1_ps(-87.33654f);
+  const __mmask16 underflow = _mm512_cmp_ps_mask(x, lo, _CMP_LT_OQ);
+  x = _mm512_maskz_min_ps(kAll16, _mm512_maskz_max_ps(kAll16, x, lo),
+                          _mm512_set1_ps(88.0f));
+  const __m512 n = _mm512_maskz_roundscale_ps(
+      kAll16, _mm512_mul_ps(x, _mm512_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m512 r = _mm512_fnmadd_ps(n, _mm512_set1_ps(0.693359375f), x);
+  r = _mm512_fnmadd_ps(n, _mm512_set1_ps(-2.12194440e-4f), r);
+  __m512 p = _mm512_set1_ps(1.9875691500e-4f);
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.3981999507e-3f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(8.3334519073e-3f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(4.1665795894e-2f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.6666665459e-1f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(5.0000001201e-1f));
+  const __m512 er = _mm512_add_ps(
+      _mm512_fmadd_ps(p, _mm512_mul_ps(r, r), r), _mm512_set1_ps(1.0f));
+  const __m512 pow2n = _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+      kAll16,
+      _mm512_add_epi32(_mm512_maskz_cvtps_epi32(kAll16, n),
+                       _mm512_set1_epi32(127)),
+      23));
+  return _mm512_maskz_mul_ps(static_cast<__mmask16>(~underflow), er, pow2n);
+}
+
+/// Gelu8 on 16 lanes.
+__attribute__((target("avx512f")))
+inline __m512 Gelu16(__m512 v) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 v3 = _mm512_mul_ps(
+      _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.044715f), v), v), v);
+  const __m512 z = _mm512_mul_ps(_mm512_set1_ps(kGeluC), _mm512_add_ps(v, v3));
+  const __m512 e2z = Exp16(_mm512_add_ps(z, z));
+  const __m512 t = _mm512_sub_ps(
+      one, _mm512_div_ps(_mm512_set1_ps(2.0f), _mm512_add_ps(e2z, one)));
+  return _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.5f), v),
+                       _mm512_add_ps(one, t));
+}
+
+// ---- Register-resident attention head (kAvx512 path) ----------------------
+//
+// For L <= 64 and d_head <= 16, one head runs in registers and L1: two
+// rows of scores at a time (kNV 16-lane vectors each) from a transposed
+// copy of K_h, softmax on those registers, then P V_h eight rows at a
+// time. The loops over register arrays are fully unrolled so the arrays
+// stay in zmm registers. Every value takes the same operations as the
+// chain Attention documents (SgemmNT's chain from 0, then 0 + chain;
+// * scale; + bias; SoftmaxAvx2's max, Exp8, 8-lane sum order and
+// normalise; SgemmNN's chain), so the result is that chain's, bit for bit.
+
+/// Scale, bias and softmax of one score row held in s[0..kNV); writes the
+/// probabilities (zeros past L) to prow.
+template <int kNV>
+__attribute__((target("avx512f,avx2")))
+inline void SoftmaxRegs(__m512* s, const __mmask16* valid, __m512 sv,
+                        const float* brow, float* prow) {
+  const __m512 zero = _mm512_setzero_ps();
+  __m512 vmax = _mm512_set1_ps(-1e30f);
+  #pragma GCC unroll 4
+  for (int t = 0; t < kNV; ++t) {
+    __m512 x = _mm512_mul_ps(sv, _mm512_add_ps(zero, s[t]));
+    if (brow != nullptr) {
+      x = _mm512_add_ps(x, _mm512_maskz_loadu_ps(valid[t], brow + 16 * t));
+    }
+    s[t] = x;
+    vmax = _mm512_mask_max_ps(vmax, valid[t], vmax, x);
+  }
+  const __m512 maxv = BroadcastMax16(vmax);
+  __m256 acc = _mm256_setzero_ps();
+  #pragma GCC unroll 4
+  for (int t = 0; t < kNV; ++t) {
+    s[t] = _mm512_maskz_mov_ps(valid[t], Exp16(_mm512_sub_ps(s[t], maxv)));
+    acc = _mm256_add_ps(acc, Half8(s[t], 0));
+    acc = _mm256_add_ps(acc, Half8(s[t], 1));
+  }
+  const __m512 inv = _mm512_set1_ps(1.0f / HSum8(acc));
+  #pragma GCC unroll 4
+  for (int t = 0; t < kNV; ++t) {
+    _mm512_store_ps(prow + 16 * t, _mm512_mul_ps(s[t], inv));
+  }
+}
+
+template <int kNV>
+__attribute__((target("avx512f,avx2")))
+DJ_NOALLOC void AttentionAvx512(int L, int dh, const float* q, const float* k,
+                                const float* v, int ld, float scale,
+                                const float* bias, float* out, int ldo) {
+  constexpr int kW = 16 * kNV;  // padded score row
+  alignas(64) float kt[16 * kW];
+  alignas(64) float probs[64 * kW];
+  for (int p = 0; p < dh; ++p) {
+    for (int j = 0; j < kW; ++j) {
+      kt[p * kW + j] = j < L ? k[static_cast<size_t>(j) * ld + p] : 0.0f;
+    }
+  }
+  __mmask16 valid[kNV];
+  #pragma GCC unroll 4
+  for (int t = 0; t < kNV; ++t) valid[t] = Mask16(L - 16 * t);
+  const __m512 sv = _mm512_set1_ps(scale);
+  const __m512 zero = _mm512_setzero_ps();
+  for (int i = 0; i < L; i += 2) {
+    // An odd last row pairs with itself; the copy is not stored.
+    const int i1 = std::min(i + 1, L - 1);
+    const float* q0 = q + static_cast<size_t>(i) * ld;
+    const float* q1 = q + static_cast<size_t>(i1) * ld;
+    __m512 s0[kNV], s1[kNV];
+    #pragma GCC unroll 4
+    for (int t = 0; t < kNV; ++t) s0[t] = s1[t] = zero;
+    for (int p = 0; p < dh; ++p) {
+      const __m512 a0 = _mm512_set1_ps(q0[p]);
+      const __m512 a1 = _mm512_set1_ps(q1[p]);
+      #pragma GCC unroll 4
+      for (int t = 0; t < kNV; ++t) {
+        const __m512 kv = _mm512_load_ps(kt + p * kW + 16 * t);
+        s0[t] = _mm512_fmadd_ps(a0, kv, s0[t]);
+        s1[t] = _mm512_fmadd_ps(a1, kv, s1[t]);
+      }
+    }
+    SoftmaxRegs<kNV>(s0, valid, sv, bias ? bias + (L - 1 - i) : nullptr,
+                     probs + i * kW);
+    if (i1 > i) {
+      SoftmaxRegs<kNV>(s1, valid, sv, bias ? bias + (L - 1 - i1) : nullptr,
+                       probs + i1 * kW);
+    }
+  }
+  const __mmask16 vm = Mask16(dh);
+  for (int i0 = 0; i0 < L; i0 += 8) {
+    const float* pr[8];
+    #pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) pr[r] = probs + std::min(i0 + r, L - 1) * kW;
+    __m512 c[8];
+    #pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) c[r] = zero;
+    for (int j = 0; j < L; ++j) {
+      const __m512 vv =
+          _mm512_maskz_loadu_ps(vm, v + static_cast<size_t>(j) * ld);
+      #pragma GCC unroll 8
+      for (int r = 0; r < 8; ++r) {
+        c[r] = _mm512_fmadd_ps(_mm512_set1_ps(pr[r][j]), vv, c[r]);
+      }
+    }
+    for (int r = 0; r < 8 && i0 + r < L; ++r) {
+      _mm512_mask_storeu_ps(out + static_cast<size_t>(i0 + r) * ldo, vm,
+                            _mm512_add_ps(zero, c[r]));
+    }
   }
 }
 
@@ -498,12 +778,6 @@ DJ_NOALLOC void MicroKernel4x16(int kc, const float* const* a, int a_step,
       }
     }
   }
-}
-
-// First `valid` of 16 lanes (all for valid >= 16, none for valid <= 0).
-inline __mmask16 Mask16(int valid) {
-  if (valid >= 16) return 0xFFFF;
-  return valid <= 0 ? 0 : static_cast<__mmask16>((1u << valid) - 1u);
 }
 
 // One row's k step: C row += broadcast(a) * B, over kNV 16-lane vectors.
@@ -683,6 +957,172 @@ void SgemmDispatch(Variant variant, int m, int n, int k, const float* a,
   SgemmScalar(variant, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
+/// Zeroes `rows` rows of `cols` floats, ld apart.
+void ZeroRows(int rows, int cols, float* c, int ld) {
+  for (int i = 0; i < rows; ++i) {
+    std::memset(c + static_cast<size_t>(i) * ld, 0,
+                sizeof(float) * static_cast<size_t>(cols));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AMX-BF16 linear
+// ---------------------------------------------------------------------------
+
+constexpr int kAmxRows = 16;   // tile rows (M) and B tile rows (K / 2)
+constexpr int kAmxK = 32;      // bf16 values per A tile row
+constexpr int kAmxN = 32;      // output columns per pair of C tiles
+constexpr int kAmxBTile = kAmxRows * kAmxK;  // u16 per B tile
+
+int RoundUp(int v, int to) { return (v + to - 1) / to * to; }
+
+/// float -> bf16, round to nearest even (inputs are finite).
+inline u16 ToBf16(float f) {
+  u32 u;
+  std::memcpy(&u, &f, sizeof(u));
+  u += 0x7FFFu + ((u >> 16) & 1u);
+  return static_cast<u16>(u >> 16);
+}
+
+#if DJ_KERNELS_X86
+
+// Tile registers: 0-3 accumulate a 32 x 32 output block, 4-5 hold two
+// 16-row A tiles, 6-7 two 16-column B tiles. Every tile is 16 rows of 64
+// bytes; padding makes every shape fit.
+struct alignas(64) AmxTileConfig {
+  u8 palette = 1;
+  u8 start_row = 0;
+  u8 reserved[14] = {};
+  u16 colsb[16] = {64, 64, 64, 64, 64, 64, 64, 64};
+  u8 rows[16] = {16, 16, 16, 16, 16, 16, 16, 16};
+};
+
+__attribute__((target("amx-tile")))
+void AmxLoadConfig(const AmxTileConfig* config) { _tile_loadconfig(config); }
+
+__attribute__((target("amx-tile")))
+void AmxRelease() { _tile_release(); }
+
+bool AmxPermissionOnce() {
+  if (!__builtin_cpu_supports("amx-tile") ||
+      !__builtin_cpu_supports("amx-bf16") ||
+      !__builtin_cpu_supports("avx512f")) {
+    return false;
+  }
+  // Linux gates tile data per process: ARCH_REQ_XCOMP_PERM (0x1023) for
+  // XFEATURE_XTILEDATA (18). A refusal leaves the FP32 path in charge.
+  return syscall(SYS_arch_prctl, 0x1023, 18) == 0;
+}
+
+/// Rounds the first `valid` floats at x to bf16 (ToBf16 on 16 lanes) and
+/// stores 16 values (zeros past `valid`).
+__attribute__((target("avx512f")))
+inline void Bf16Store16(const float* x, int valid, u16* dst) {
+  const __m512i u =
+      _mm512_castps_si512(_mm512_maskz_loadu_ps(Mask16(valid), x));
+  const __m512i lsb = _mm512_and_si512(_mm512_maskz_srli_epi32(kAll16, u, 16),
+                                       _mm512_set1_epi32(1));
+  const __m512i r = _mm512_add_epi32(
+      u, _mm512_add_epi32(lsb, _mm512_set1_epi32(0x7FFF)));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                      _mm512_maskz_cvtepi32_epi16(
+                          kAll16, _mm512_maskz_srli_epi32(kAll16, r, 16)));
+}
+
+/// Bias, optional GELU and the store of one row of up to 32 outputs.
+__attribute__((target("avx512f")))
+inline void AmxStoreRow(const float* acc, const float* bias, bool gelu,
+                        int cols, float* y) {
+  for (int h = 0; h < kAmxN && h < cols; h += 16) {
+    const __mmask16 m = Mask16(cols - h);
+    __m512 v = _mm512_add_ps(_mm512_loadu_ps(acc + h),
+                             _mm512_maskz_loadu_ps(m, bias + h));
+    if (gelu) v = Gelu16(v);
+    _mm512_mask_storeu_ps(y + h, m, v);
+  }
+}
+
+/// One 16- or 32-row block (kTwo: two A tiles) against every 32-column
+/// pair of B tiles.
+template <bool kTwo>
+__attribute__((target("amx-tile,amx-bf16,avx512f,avx2,fma")))
+void AmxRowBlock(int rows, int n, int kp, const u16* xa, const u16* packed,
+                 const float* bias, bool gelu, float* y, int ldy) {
+  alignas(64) float acc[2 * kAmxRows][kAmxN];
+  const int kblocks = kp / kAmxK;
+  const size_t a_stride = static_cast<size_t>(kp) * sizeof(u16);
+  const u16* xb = xa + static_cast<size_t>(kAmxRows) * kp;
+  for (int j0 = 0; j0 < n; j0 += kAmxN) {
+    const u16* bp = packed + static_cast<size_t>(j0 / kAmxN) * kblocks * 2 *
+                                 kAmxBTile;
+    _tile_zero(0);
+    _tile_zero(1);
+    if constexpr (kTwo) {
+      _tile_zero(2);
+      _tile_zero(3);
+    }
+    for (int kb = 0; kb < kblocks; ++kb) {
+      _tile_loadd(4, xa + kb * kAmxK, a_stride);
+      _tile_loadd(6, bp, 64);
+      _tile_loadd(7, bp + kAmxBTile, 64);
+      _tile_dpbf16ps(0, 4, 6);
+      _tile_dpbf16ps(1, 4, 7);
+      if constexpr (kTwo) {
+        _tile_loadd(5, xb + kb * kAmxK, a_stride);
+        _tile_dpbf16ps(2, 5, 6);
+        _tile_dpbf16ps(3, 5, 7);
+      }
+      bp += 2 * kAmxBTile;
+    }
+    _tile_stored(0, &acc[0][0], sizeof(acc[0]));
+    _tile_stored(1, &acc[0][16], sizeof(acc[0]));
+    if constexpr (kTwo) {
+      _tile_stored(2, &acc[16][0], sizeof(acc[0]));
+      _tile_stored(3, &acc[16][16], sizeof(acc[0]));
+    }
+    const int cols = std::min(kAmxN, n - j0);
+    for (int r = 0; r < rows; ++r) {
+      AmxStoreRow(acc[r], bias + j0, gelu, cols,
+                  y + static_cast<size_t>(r) * ldy + j0);
+    }
+  }
+}
+
+__attribute__((target("amx-tile,amx-bf16,avx512f,avx2,fma")))
+void AmxLinearImpl(int m, int n, int k, const float* x, int ldx,
+                   const u16* packed, const float* bias, bool gelu, u16* xbuf,
+                   float* y, int ldy) {
+  const int kp = RoundUp(k, kAmxK);
+  const int mp = RoundUp(m, kAmxRows);
+  for (int i = 0; i < m; ++i) {
+    const float* xr = x + static_cast<size_t>(i) * ldx;
+    u16* dst = xbuf + static_cast<size_t>(i) * kp;
+    for (int p = 0; p < kp; p += 16) Bf16Store16(xr + p, k - p, dst + p);
+  }
+  std::memset(xbuf + static_cast<size_t>(m) * kp, 0,
+              sizeof(u16) * static_cast<size_t>(mp - m) * kp);
+  for (int i0 = 0; i0 < m; i0 += 2 * kAmxRows) {
+    const int rows = std::min(2 * kAmxRows, m - i0);
+    const u16* xa = xbuf + static_cast<size_t>(i0) * kp;
+    float* yr = y + static_cast<size_t>(i0) * ldy;
+    if (rows > kAmxRows) {
+      AmxRowBlock<true>(rows, n, kp, xa, packed, bias, gelu, yr, ldy);
+    } else {
+      AmxRowBlock<false>(rows, n, kp, xa, packed, bias, gelu, yr, ldy);
+    }
+  }
+}
+
+#endif  // DJ_KERNELS_X86
+
+bool AmxAvailableOnce() {
+#if DJ_KERNELS_X86
+  return AmxPermissionOnce();
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 Tier DetectedTier() {
@@ -796,7 +1236,7 @@ void GeluTanh(int n, const float* x, float* out) {
 void Softmax(int n, const float* x, const float* mask, float* out) {
 #if DJ_KERNELS_X86
   if (ActiveTier() == Tier::kAvx2) {
-    SoftmaxAvx2(n, x, mask, out);
+    SoftmaxAvx2(n, x, 1.0f, mask, out);
     return;
   }
 #endif
@@ -816,6 +1256,136 @@ void SgemmNT(int m, int n, int k, const float* a, int lda, const float* b,
 void SgemmTN(int m, int n, int k, const float* a, int lda, const float* b,
              int ldb, float* c, int ldc) {
   SgemmDispatch(Variant::kTN, m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+void Linear(int m, int n, int k, const float* x, int ldx, const float* w,
+            const float* bias, bool gelu, float* y, int ldy) {
+  ZeroRows(m, n, y, ldy);
+  SgemmDispatch(Variant::kNN, m, n, k, x, ldx, w, n, y, ldy);
+  const bool avx2 = ActiveTier() == Tier::kAvx2;
+  for (int i = 0; i < m; ++i) {
+    float* row = y + static_cast<size_t>(i) * ldy;
+#if DJ_KERNELS_X86
+    if (avx2) {
+      AxpyAvx2(n, 1.0f, bias, row);
+      if (gelu) GeluTanhAvx2(n, row, row);
+      continue;
+    }
+#endif
+    AxpyScalar(n, 1.0f, bias, row);
+    if (gelu) GeluTanhScalar(n, row, row);
+  }
+}
+
+void Attention(int L, int dh, const float* q, const float* k, const float* v,
+               int ld, float scale, const float* bias, float* scores, int lds,
+               float* out, int ldo) {
+#if DJ_KERNELS_X86
+  if (ActiveGemmPath() == GemmPath::kAvx512 && L <= 64 && dh <= 16) {
+    using Fn = void (*)(int, int, const float*, const float*, const float*,
+                        int, float, const float*, float*, int);
+    static constexpr Fn kByWidth[] = {AttentionAvx512<1>, AttentionAvx512<2>,
+                                      AttentionAvx512<3>, AttentionAvx512<4>};
+    kByWidth[(L - 1) / 16](L, dh, q, k, v, ld, scale, bias, out, ldo);
+    return;
+  }
+#endif
+  ZeroRows(L, L, scores, lds);
+  SgemmDispatch(Variant::kNT, L, L, dh, q, ld, k, ld, scores, lds);
+  const bool avx2 = ActiveTier() == Tier::kAvx2;
+  for (int i = 0; i < L; ++i) {
+    float* row = scores + static_cast<size_t>(i) * lds;
+    const float* brow = bias != nullptr ? bias + (L - 1 - i) : nullptr;
+#if DJ_KERNELS_X86
+    if (avx2) {
+      SoftmaxAvx2(L, row, scale, brow, row);
+      continue;
+    }
+#endif
+    ScaleAddScalar(L, scale, row, 0.0f, row);
+    if (brow != nullptr) AxpyScalar(L, 1.0f, brow, row);
+    SoftmaxScalar(L, row, nullptr, row);
+  }
+  ZeroRows(L, dh, out, ldo);
+  SgemmDispatch(Variant::kNN, L, dh, L, scores, lds, v, ld, out, ldo);
+}
+
+float LayerNorm(int n, const float* x, const float* gamma, const float* beta,
+                float eps, float* xhat, float* out) {
+#if DJ_KERNELS_X86
+  if (ActiveTier() == Tier::kAvx2) {
+    return LayerNormAvx2(n, x, gamma, beta, eps, xhat, out);
+  }
+#endif
+  return LayerNormScalar(n, x, gamma, beta, eps, xhat, out);
+}
+
+bool AmxLinearAvailable() {
+  static const bool available = AmxAvailableOnce();
+  return available;
+}
+
+bool AmxLinearActive() {
+  return g_forced_tier.load(std::memory_order_relaxed) == 0 &&
+         DetectedTier() == Tier::kAvx2 && AmxLinearAvailable();
+}
+
+const char* LinearPathName() {
+  return AmxLinearActive() ? "amx-bf16" : "fp32";
+}
+
+size_t AmxPackedWeightSize(int k, int n) {
+  return static_cast<size_t>(RoundUp(k, kAmxK)) * RoundUp(n, kAmxN);
+}
+
+size_t AmxActivationSize(int m, int k) {
+  return static_cast<size_t>(RoundUp(m, kAmxRows)) * RoundUp(k, kAmxK);
+}
+
+void AmxPackWeight(int k, int n, const float* w, u16* packed) {
+  const int kblocks = RoundUp(k, kAmxK) / kAmxK;
+  const int ntiles = RoundUp(n, kAmxN) / 16;
+  // B tile t of k-block kb: row r holds the pairs (w[2r][c], w[2r+1][c])
+  // for its 16 columns c, k counted from kb * 32.
+  for (int t = 0; t < ntiles; ++t) {
+    for (int kb = 0; kb < kblocks; ++kb) {
+      u16* tile = packed + (static_cast<size_t>(t / 2) * kblocks + kb) * 2 *
+                               kAmxBTile + (t % 2) * kAmxBTile;
+      for (int r = 0; r < kAmxRows; ++r) {
+        for (int c = 0; c < 16; ++c) {
+          for (int e = 0; e < 2; ++e) {
+            const int kk = kb * kAmxK + 2 * r + e, nn = t * 16 + c;
+            tile[r * kAmxK + 2 * c + e] =
+                kk < k && nn < n ? ToBf16(w[static_cast<size_t>(kk) * n + nn])
+                                 : 0;
+          }
+        }
+      }
+    }
+  }
+}
+
+void AmxBegin() {
+#if DJ_KERNELS_X86
+  static const AmxTileConfig config;
+  AmxLoadConfig(&config);
+#endif
+}
+
+void AmxEnd() {
+#if DJ_KERNELS_X86
+  AmxRelease();
+#endif
+}
+
+void AmxLinear(int m, int n, int k, const float* x, int ldx,
+               const u16* packed, const float* bias, bool gelu, u16* xbuf,
+               float* y, int ldy) {
+#if DJ_KERNELS_X86
+  AmxLinearImpl(m, n, k, x, ldx, packed, bias, gelu, xbuf, y, ldy);
+#else
+  DJ_CHECK_MSG(false, "AmxLinear needs an x86-64 build");
+#endif
 }
 
 }  // namespace kern

@@ -15,10 +15,28 @@
 // avx512f (GemmPath::kAvx512) and the 8-lane one elsewhere. Both compute
 // the kAvx2 chain below, bit for bit, so TierName still says "avx2+fma".
 //
+// The AMX linear (AmxLinear, inference only) is the one kernel that does
+// not compute its tier's FP32 chain. It runs the transformer workspace
+// forward's six per-layer linears on AMX-BF16 tiles when AmxLinearActive():
+// the DETECTED tier is kAvx2, no tier is forced (ForceTierForTest), the
+// host has amx-tile + amx-bf16 + avx512f, and the one-time per-process
+// arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA) request succeeded. Anything
+// else (a failed check, a refused request, a forced tier) silently keeps
+// the FP32 GEMM; nothing aborts, and there is no switch to flip. It is not
+// a tier because nothing else changes: every other kernel, training
+// (the autograd graph), TransformerEncoder::Encode and every forced tier
+// stay on the FP32 contract, and TierName stays "avx2+fma". What it
+// changes is the embedding's numeric contract, bounded under "bf16
+// contract" below; an index and its queries must be encoded through the
+// same path (they are whenever both are encoded on one host).
+//
 // Determinism contract (DESIGN.md §8): every kernel has a FIXED, documented
-// reduction order per tier. Two calls with the same inputs in the same tier
-// return bit-identical results — regardless of pointer alignment, leading
-// dimensions, blocking, or how callers partition rows across threads.
+// reduction order per tier. kernels.cc compiles with -ffp-contract=off, so
+// an FMA happens only where a kernel calls one: "unfused" below means two
+// roundings in the compiled code too. Two calls with the same inputs in
+// the same tier return bit-identical results — regardless of pointer
+// alignment, leading dimensions, blocking, or how callers partition rows
+// across threads.
 // Results may differ in low-order bits BETWEEN tiers (the AVX2 tier uses
 // fused multiply-add and multi-lane reduction trees); anything that must be
 // reproducible across machines should pin the scalar tier.
@@ -85,6 +103,42 @@
 //    softmax within 3e-7 of double references in both tiers
 //    (kernels_test bounds them at 1e-6 and 5e-7), encoder outputs within
 //    2.1e-7 of each other (tools/encoder_probe; ctest bounds it at 1e-4).
+//  * Attention, both tiers: exactly the unfused chain, per head: S = 0 +
+//    SgemmNT(Q_h, K_h); per row ScaleAdd(scale, beta 0), Axpy(1, bias
+//    slice) when a bias row is given, Softmax (no mask); then ctx_h = 0 +
+//    SgemmNN(P, V_h). The AVX2 tier folds the scale and the bias add into
+//    Softmax's first pass (v = x*scale + b: the same two roundings). On
+//    kAvx512 with L <= 64 and d_head <= 16, a register-resident kernel
+//    keeps each score row in zmm registers from the QK^T chain through the
+//    softmax, with every value taking the chain's operations (its exp is
+//    Exp8 per lane on 16 lanes, its sum adds 8-lane halves in order); the
+//    result is the chain's, bit for bit (kernels_test, L = 1..80, both
+//    position modes, every GEMM path).
+//  * LayerNorm, scalar tier: mean = sum x[j] in double, j ascending, / n;
+//    var = sum (x[j] - mean)^2 in double, j ascending, / n; is =
+//    float(1/sqrt(var + eps)); h = (x[j] - float(mean)) * is (float, two
+//    roundings); out = gamma*h + beta (unfused).
+//  * LayerNorm, AVX2 tier: x widened to double; the sum and the squared
+//    deviations each run in two 4-lane double accumulators (acc0 takes
+//    elements [8t, 8t+4), acc1 [8t+4, 8t+8); tail lanes add 0), reduced
+//    as (a0+a2)+(a1+a3) over a = acc0+acc1; var's terms are fma(d, d,
+//    acc). is, float(mean) and h as in the scalar tier; out =
+//    fma(gamma, h, beta) (one rounding). kernels_test bounds out within
+//    2e-6 * (1 + |ref|) of a double reference for n in {8..256}.
+//  * bf16 contract (AmxLinear only): activations and weights are rounded
+//    to bf16 (round to nearest even) and multiplied on AMX tiles with
+//    FP32 accumulation (tdpbf16ps: per 2-element pair, an order the ISA
+//    leaves to the hardware), then the bias is added in float and the
+//    AVX2 tier's GELU formula applied. Per output, |y - y_fp32| <=
+//    kBf16LinearAbsTol + kBf16LinearRelTol * sum_p |x_p * w_p| (the
+//    relative part is two bf16 roundings, 2 * 2^-9, with margin;
+//    kernels_test checks it on padded shapes). Through the encoder (two
+//    layers, LayerNorm renormalising), every encoder_probe embedding is
+//    within kBf16EmbeddingAbsTol of its FP32 value with cosine at least
+//    kBf16EmbeddingMinCosine (ctest encoder_probe_amx_vs_fp32); measured
+//    on its 2688 values: max |diff| 1.2e-4, min cosine 0.99999998. The
+//    result is deterministic and depends on a row's own values only:
+//    batching, threads and call order do not change it.
 //
 // Alignment: kernels never REQUIRE alignment (all loads/stores are
 // unaligned ops); nn::Matrix guarantees 64-byte-aligned storage so the
@@ -188,6 +242,70 @@ DJ_NOALLOC void SgemmNT(int m, int n, int k, const float* a, int lda,
                         const float* b, int ldb, float* c, int ldc);
 DJ_NOALLOC void SgemmTN(int m, int n, int k, const float* a, int lda,
                         const float* b, int ldb, float* c, int ldc);
+
+// ---- Transformer ops ------------------------------------------------------
+
+/// FP32 linear: y[m,n] = x[m,k] @ w[k,n] + bias, then GELU when `gelu`.
+/// Exactly the chain of SgemmNN into zeroed rows, Axpy(1, bias) per row
+/// and GeluTanh, so it matches autograd's MatMul + AddRowVector (+ Gelu).
+/// w is row-major with leading dimension n; y must not alias x.
+DJ_NOALLOC void Linear(int m, int n, int k, const float* x, int ldx,
+                       const float* w, const float* bias, bool gelu, float* y,
+                       int ldy);
+
+/// One attention head over L tokens: out = softmax(scale * Q K^T + B) V.
+/// q, k and v point at the head's first column of [L, ld] matrices and the
+/// head is dh wide. `bias`, when non-null, holds 2L - 1 values: row i adds
+/// bias[L - 1 - i + j] at column j (the relative bias depends on j - i
+/// only). `scores` is caller scratch of L rows (lds >= L). Writes the
+/// [L, dh] context at out (ldo apart) without reading it.
+DJ_NOALLOC void Attention(int L, int dh, const float* q, const float* k,
+                          const float* v, int ld, float scale,
+                          const float* bias, float* scores, int lds,
+                          float* out, int ldo);
+
+/// LayerNorm of one row with learned gain/bias. Writes the normalised row
+/// to `xhat` when non-null (the backward caches it) and returns the
+/// inverse stddev. x == out is allowed.
+DJ_NOALLOC float LayerNorm(int n, const float* x, const float* gamma,
+                           const float* beta, float eps, float* xhat,
+                           float* out);
+
+// ---- AMX-BF16 linear (inference only; see the dispatch note above) ------
+
+/// Host support and a granted tile-data permission, ignoring any forced
+/// tier. Decides whether a workspace keeps bf16 weight copies at all.
+bool AmxLinearAvailable();
+/// AmxLinearAvailable() and the unforced detected tier is kAvx2: the
+/// workspace forward then runs its linears on AmxLinear.
+bool AmxLinearActive();
+/// The linear path the workspace forward takes now: "amx-bf16" or "fp32".
+const char* LinearPathName();
+
+/// u16 elements of a [k, n] weight's bf16 VNNI copy and of the bf16 tile
+/// buffer for an [m, k] activation (both zero-padded: rows to 16, k to 32,
+/// n to 32).
+size_t AmxPackedWeightSize(int k, int n);
+size_t AmxActivationSize(int m, int k);
+/// Rounds the row-major [k, n] weight w to bf16 and lays it out as AMX B
+/// tiles (pairs of 16-column tiles, k-blocks of 32 consecutive).
+DJ_NOALLOC void AmxPackWeight(int k, int n, const float* w, u16* packed);
+/// Loads the tile configuration AmxLinear uses on this thread, and
+/// releases the tiles again; one pair brackets each forward.
+DJ_NOALLOC void AmxBegin();
+DJ_NOALLOC void AmxEnd();
+/// y[m,n] = bf16(x) @ packed + bias, then GELU when `gelu` (bias and GELU
+/// applied as each output tile is stored). `xbuf` holds
+/// AmxActivationSize(m, k) u16. Call between AmxBegin and AmxEnd, and only
+/// when AmxLinearActive().
+DJ_NOALLOC void AmxLinear(int m, int n, int k, const float* x, int ldx,
+                          const u16* packed, const float* bias, bool gelu,
+                          u16* xbuf, float* y, int ldy);
+/// The bf16 contract's bounds (the "bf16 contract" entry above).
+inline constexpr float kBf16LinearAbsTol = 1e-6f;
+inline constexpr float kBf16LinearRelTol = 1.0f / 128.0f;
+inline constexpr float kBf16EmbeddingAbsTol = 2e-3f;
+inline constexpr double kBf16EmbeddingMinCosine = 0.9999;
 
 /// Minimal aligned allocator so nn::Matrix (and kernel tests) can keep
 /// rows on cache-line boundaries. Value-initialises like std::allocator.

@@ -887,6 +887,225 @@ TEST(KernelsTest, EncoderTruncatesLongInputInFastPath) {
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
 }
 
+// ---- Attention / LayerNorm / Linear ----------------------------------------
+
+// The chain Attention documents, from the public kernels.
+void RefAttention(int L, int dh, const float* q, const float* k,
+                  const float* v, int ld, float scale, const float* bias,
+                  float* out, int ldo) {
+  std::vector<float> s(static_cast<size_t>(L) * L, 0.0f);
+  SgemmNT(L, L, dh, q, ld, k, ld, s.data(), L);
+  for (int i = 0; i < L; ++i) {
+    float* row = s.data() + static_cast<size_t>(i) * L;
+    ScaleAdd(L, scale, row, 0.0f, row);
+    if (bias != nullptr) Axpy(L, 1.0f, bias + (L - 1 - i), row);
+    Softmax(L, row, nullptr, row);
+  }
+  for (int i = 0; i < L; ++i) {
+    std::memset(out + static_cast<size_t>(i) * ldo, 0,
+                sizeof(float) * static_cast<size_t>(dh));
+  }
+  SgemmNN(L, dh, L, s.data(), L, v, ld, out, ldo);
+}
+
+TEST(KernelsTest, AttentionBitIdenticalToUnfusedChain) {
+  // d_head 12 (DistilSim) and 16 (MPNetSim) take the register-resident
+  // kernel on the kAvx512 path up to L = 64; d_head 20 and L > 64 take
+  // the chain itself. Both position modes: with and without a bias row.
+  for (GemmPath path : AvailableGemmPaths()) {
+    ForcedGemmPath forced(path);
+    for (int dh : {12, 16, 20}) {
+      const int ld = 3 * dh + 5;  // a head inside a wider row
+      for (int L : {1, 2, 7, 8, 15, 16, 17, 33, 50, 63, 64, 65, 80}) {
+        auto q = MakeVector(L * ld, 11 * L + dh);
+        auto k = MakeVector(L * ld, 13 * L + dh);
+        const auto v = MakeVector(L * ld, 17 * L + dh);
+        for (float& x : q) x *= 2.0f;  // scores up to about 50
+        const auto bias = MakeVector(2 * L - 1, 19 * L);
+        const float* no_bias = nullptr;
+        for (const float* b : {no_bias, bias.data()}) {
+          const int ldo = dh + 3;
+          std::vector<float> want(static_cast<size_t>(L) * ldo, 7.0f);
+          std::vector<float> got = want;
+          RefAttention(L, dh, q.data(), k.data(), v.data(), ld, 0.25f, b,
+                       want.data(), ldo);
+          std::vector<float> scores(static_cast<size_t>(L) * (L + 1));
+          Attention(L, dh, q.data(), k.data(), v.data(), ld, 0.25f, b,
+                    scores.data(), L + 1, got.data(), ldo);
+          ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                   want.size() * sizeof(float)))
+              << GemmPathName(path) << " dh=" << dh << " L=" << L
+              << " bias=" << (b != nullptr);
+        }
+      }
+    }
+  }
+}
+
+// The scalar tier's LayerNorm: the formula nn::LayerNormRow had before it
+// moved into util/kernels.h.
+float RefLayerNormScalar(const float* x, int n, const float* gamma,
+                         const float* beta, float eps, float* xhat,
+                         float* out) {
+  double mean = 0.0;
+  for (int j = 0; j < n; ++j) mean += x[j];
+  mean /= n;
+  double var = 0.0;
+  for (int j = 0; j < n; ++j) {
+    const double d = x[j] - mean;
+    var += d * d;
+  }
+  var /= n;
+  const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
+  const float fmean = static_cast<float>(mean);
+  for (int j = 0; j < n; ++j) {
+    const float h = (x[j] - fmean) * is;
+    xhat[j] = h;
+    out[j] = gamma[j] * h + beta[j];
+  }
+  return is;
+}
+
+// kernels.h's bound on the AVX2 tier's LayerNorm output.
+constexpr double kLayerNormTol = 2e-6;
+
+TEST(KernelsTest, LayerNormMatchesScalarFormulaAndDoubleReference) {
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    for (int n : {1, 5, 8, 13, 48, 64, 192, 256}) {
+      auto x = MakeVector(n, 23 * n);
+      for (float& v : x) v += 0.5f;  // mean != 0
+      const auto gamma = MakeVector(n, 29 * n);
+      const auto beta = MakeVector(n, 31 * n);
+      std::vector<float> out(static_cast<size_t>(n)), xhat(out.size());
+      const float is = LayerNorm(n, x.data(), gamma.data(), beta.data(), 1e-5f,
+                                 xhat.data(), out.data());
+      auto in_place = x;
+      LayerNorm(n, in_place.data(), gamma.data(), beta.data(), 1e-5f, nullptr,
+                in_place.data());
+      ASSERT_EQ(0, std::memcmp(out.data(), in_place.data(),
+                               out.size() * sizeof(float)))
+          << TierName(tier) << " n=" << n;
+      if (tier == Tier::kScalar) {
+        std::vector<float> want(out.size()), want_hat(out.size());
+        const float want_is =
+            RefLayerNormScalar(x.data(), n, gamma.data(), beta.data(), 1e-5f,
+                               want_hat.data(), want.data());
+        ASSERT_EQ(want_is, is) << "n=" << n;
+        ASSERT_EQ(0, std::memcmp(want.data(), out.data(),
+                                 out.size() * sizeof(float)))
+            << "n=" << n;
+        ASSERT_EQ(0, std::memcmp(want_hat.data(), xhat.data(),
+                                 out.size() * sizeof(float)))
+            << "n=" << n;
+      }
+      double mean = 0.0, var = 0.0;
+      for (float v : x) mean += v;
+      mean /= n;
+      for (float v : x) var += (v - mean) * (v - mean);
+      var /= n;
+      const double inv = 1.0 / std::sqrt(var + 1e-5);
+      ASSERT_NEAR(inv, is, 1e-6 * inv) << TierName(tier) << " n=" << n;
+      for (int j = 0; j < n; ++j) {
+        const size_t s = static_cast<size_t>(j);
+        const double ref = gamma[s] * ((x[s] - mean) * inv) + beta[s];
+        ASSERT_NEAR(ref, out[s], kLayerNormTol * (1.0 + std::abs(ref)))
+            << TierName(tier) << " n=" << n << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, LinearBitIdenticalToGemmBiasGelu) {
+  for (GemmPath path : AvailableGemmPaths()) {
+    ForcedGemmPath forced(path);
+    const int m = 17, k = 48, n = 40, ldx = k + 3, ldy = n + 5;
+    const auto x = MakeVector(m * ldx, 41);
+    const auto w = MakeVector(k * n, 43);
+    const auto bias = MakeVector(n, 47);
+    for (bool gelu : {false, true}) {
+      std::vector<float> want(static_cast<size_t>(m) * ldy, 3.0f);
+      std::vector<float> got = want;
+      for (int i = 0; i < m; ++i) {
+        float* row = want.data() + static_cast<size_t>(i) * ldy;
+        std::memset(row, 0, sizeof(float) * n);
+      }
+      SgemmNN(m, n, k, x.data(), ldx, w.data(), n, want.data(), ldy);
+      for (int i = 0; i < m; ++i) {
+        float* row = want.data() + static_cast<size_t>(i) * ldy;
+        Axpy(n, 1.0f, bias.data(), row);
+        if (gelu) GeluTanh(n, row, row);
+      }
+      Linear(m, n, k, x.data(), ldx, w.data(), bias.data(), gelu, got.data(),
+             ldy);
+      ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                               want.size() * sizeof(float)))
+          << GemmPathName(path) << " gelu=" << gelu;
+    }
+  }
+}
+
+TEST(KernelsTest, AmxLinearWithinBf16BoundOfFp32) {
+  if (!AmxLinearActive()) GTEST_SKIP() << "AMX-BF16 linear unavailable";
+  EXPECT_STREQ("amx-bf16", LinearPathName());
+  EXPECT_STREQ("avx2+fma", TierName(ActiveTier()));
+  const int dims[] = {8, 48, 64, 192, 256};
+  for (int k : dims) {
+    for (int n : dims) {
+      std::vector<float> w = MakeVector(k * n, 53 * k + n);
+      for (float& v : w) v *= 0.05f;
+      const auto bias = MakeVector(n, 59 * n);
+      std::vector<u16> packed(AmxPackedWeightSize(k, n));
+      AmxPackWeight(k, n, w.data(), packed.data());
+      for (int m : {1, 15, 16, 17, 50, 64}) {
+        // Padding past k holds a poison value AmxLinear must not read, and
+        // padding past n must come back untouched.
+        const int ldx = k + 7, ldy = n + 3;
+        std::vector<float> x = MakeVector(m * ldx, 61 * m + k);
+        for (int i = 0; i < m; ++i) {
+          for (int p = k; p < ldx; ++p) {
+            x[static_cast<size_t>(i) * ldx + p] = 1e30f;
+          }
+        }
+        std::vector<u16> xbuf(AmxActivationSize(m, k));
+        for (bool gelu : {false, true}) {
+          std::vector<float> want(static_cast<size_t>(m) * ldy, -5.0f);
+          std::vector<float> got = want;
+          Linear(m, n, k, x.data(), ldx, w.data(), bias.data(), gelu,
+                 want.data(), ldy);
+          AmxBegin();
+          AmxLinear(m, n, k, x.data(), ldx, packed.data(), bias.data(), gelu,
+                    xbuf.data(), got.data(), ldy);
+          AmxEnd();
+          for (int i = 0; i < m; ++i) {
+            for (int j = 0; j < ldy; ++j) {
+              const size_t s = static_cast<size_t>(i) * ldy + j;
+              if (j >= n) {
+                ASSERT_EQ(-5.0f, got[s])
+                    << "k=" << k << " n=" << n << " m=" << m;
+                continue;
+              }
+              double mass = 0.0;  // sum_p |x_p w_p|
+              for (int p = 0; p < k; ++p) {
+                mass += std::abs(
+                    static_cast<double>(x[static_cast<size_t>(i) * ldx + p]) *
+                    w[static_cast<size_t>(p) * n + j]);
+              }
+              // GELU's slope is below 1.13, so it grows the bound by as much.
+              const double bound =
+                  (gelu ? 1.13 : 1.0) *
+                  (kBf16LinearAbsTol + kBf16LinearRelTol * mass);
+              ASSERT_NEAR(want[s], got[s], bound)
+                  << "k=" << k << " n=" << n << " m=" << m << " i=" << i
+                  << " j=" << j << " gelu=" << gelu;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, SgemmZeroDimsAreNoOps) {
   float a = 1.0f, b = 2.0f, c = 3.0f;
   SgemmNN(0, 1, 1, &a, 1, &b, 1, &c, 1);
