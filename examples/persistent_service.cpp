@@ -1,17 +1,18 @@
 // Operating DeepJoin as a persistent service: ingest a lake from CSV
 // files, fine-tune once, save the encoder to disk, reload it in a "fresh
-// process", rebuild the index, and serve queries through the two-stage
-// searcher (ANNS candidates re-ranked by exact joinability). Demonstrates
-// the adoption path: train offline, ship the model file, serve online.
+// process", rebuild the index, and serve queries through the paper's
+// online path (encode the query column, HNSW top-k). Demonstrates the
+// adoption path: train offline, ship the model file, serve online.
 //
 // Run:  ./build/examples/persistent_service [--workdir=/tmp/djsvc]
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
+#include "ann/vector_index.h"
 #include "core/deepjoin.h"
 #include "core/model_io.h"
-#include "core/reranker.h"
 #include "lake/csv_loader.h"
 #include "lake/generator.h"
 #include "util/flags.h"
@@ -96,18 +97,21 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto tok = join::TokenizedRepository::Build(*repo);
-  core::TwoStageConfig tsc;
-  core::TwoStageSearcher two_stage(&searcher, &tok, nullptr, nullptr, tsc);
-
+  // The searcher reports ids only; re-encoding a hit through the same
+  // path the index was built with recovers the distance HNSW ranked by.
+  core::ColumnEncoder* encoder = loaded->get();
+  std::vector<float> qv(encoder->dim()), hv(encoder->dim());
   auto queries = gen.GenerateQueries(3, 0xD0);
   for (const auto& q : queries) {
-    auto out = two_stage.Search(q, {.k = 5});
+    auto out = searcher.Search(q, {.k = 5});
     std::printf("\nquery \"%s\" (%zu cells) -> %.1f ms total:\n",
                 q.meta.column_name.c_str(), q.size(), out.stats.total_ms());
-    for (const auto& s : out.results) {
-      std::printf("  jn=%.2f  %s\n", s.score,
-                  repo->column(s.id).meta.table_title.c_str());
+    encoder->EncodeInto(q, qv.data());
+    for (u32 id : out.ids) {
+      encoder->EncodeInto(repo->column(id), hv.data());
+      std::printf("  col=%-4u dist=%.4f  %s\n", id,
+                  ann::SquaredL2Distance(qv.data(), hv.data(), encoder->dim()),
+                  repo->column(id).meta.table_title.c_str());
     }
   }
   std::printf("\nservice round-trip complete (model file survives restarts)\n");

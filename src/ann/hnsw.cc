@@ -34,10 +34,6 @@ void HeapPopMax(std::vector<Neighbor>& heap) {
   heap.pop_back();
 }
 
-constexpr u32 kHnswMagic = 0x484E5357;  // "HNSW"
-// v1: pre-mutability (no tombstones / capacity); still loadable.
-// v2: adds max_elements to the config block and a tombstone id array.
-constexpr u32 kHnswVersion = 2;
 // Level draws are exponential with mean 1/ln(M); anything this deep in a
 // file (or a replayed WAL record) is corruption, and it bounds the
 // per-node adjacency allocation.
@@ -547,108 +543,6 @@ HnswIndex HnswIndex::CompactedCopy(std::vector<u32>* new_to_old) const {
   return out;
 }
 
-void HnswIndex::SaveLegacy(BinaryWriter& writer) const {
-  static_assert(sizeof(int) == sizeof(i32), "levels serialized as i32");
-  DJ_CHECK_MSG(store_ == nullptr,
-               "SaveLegacy requires a live index (the legacy format has no "
-               "packed-graph or quantized representation)");
-  const u32 n = count_.load(std::memory_order_acquire);
-  const u64 ep_packed = entry_point_.load(std::memory_order_acquire);
-  writer.WriteU32(kHnswMagic);
-  writer.WriteU32(kHnswVersion);
-  writer.WriteI32(config_.dim);
-  writer.WriteI32(config_.M);
-  writer.WriteI32(config_.ef_construction);
-  writer.WriteI32(config_.ef_search);
-  writer.WriteU64(config_.seed);
-  writer.WriteU32(config_.max_elements);
-
-  std::vector<float> data;
-  data.reserve(static_cast<size_t>(n) * config_.dim);
-  std::vector<i32> levels;
-  levels.reserve(n);
-  std::vector<u32> deleted_ids;
-  for (u32 id = 0; id < n; ++id) {
-    const float* v = VectorAt(id);
-    data.insert(data.end(), v, v + config_.dim);
-    const Node& node = NodeAt(id);
-    levels.push_back(node.level);
-    if (DeletedAt(id)) {
-      deleted_ids.push_back(id);
-    }
-  }
-  writer.WriteFloatArray(data.data(), data.size());
-  writer.WriteI32Array(levels.data(), levels.size());
-
-  // Adjacency lists flattened into two arrays: one size per (node, level)
-  // in order, then every neighbour id concatenated. Coarse records keep
-  // the per-record CRC overhead negligible. Each node's lists are
-  // snapshotted under its stripe lock so a save concurrent with searches
-  // (never with mutators — caller's contract) reads consistent lists.
-  std::vector<u32> list_sizes;
-  std::vector<u32> all_ids;
-  for (u32 id = 0; id < n; ++id) {
-    MutexLock link_lock(sync_->stripes[StripeOf(id)].link_mu);
-    for (const auto& adj : NodeAt(id).links) {
-      list_sizes.push_back(static_cast<u32>(adj.size()));
-      all_ids.insert(all_ids.end(), adj.begin(), adj.end());
-    }
-  }
-  writer.WriteU32Array(list_sizes.data(), list_sizes.size());
-  writer.WriteU32Array(all_ids.data(), all_ids.size());
-  writer.WriteU32(ep_packed == 0 ? 0 : static_cast<u32>(ep_packed));
-  writer.WriteI32(static_cast<i32>(ep_packed >> 32) - 1);
-  writer.WriteU32Array(deleted_ids.data(), deleted_ids.size());
-}
-
-Result<HnswIndex> HnswIndex::LoadLegacyAfterMagic(BinaryReader& reader) {
-  u32 version = 0;
-  DJ_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (version != 1 && version != 2) {
-    return Status::DataLoss("unsupported HNSW index version " +
-                            std::to_string(version));
-  }
-  HnswConfig config;
-  DJ_RETURN_IF_ERROR(reader.ReadI32(&config.dim));
-  DJ_RETURN_IF_ERROR(reader.ReadI32(&config.M));
-  DJ_RETURN_IF_ERROR(reader.ReadI32(&config.ef_construction));
-  DJ_RETURN_IF_ERROR(reader.ReadI32(&config.ef_search));
-  DJ_RETURN_IF_ERROR(reader.ReadU64(&config.seed));
-  if (version >= 2) {
-    DJ_RETURN_IF_ERROR(reader.ReadU32(&config.max_elements));
-  }
-  // The constructor DJ_CHECKs these invariants; a load path must reject,
-  // not abort.
-  if (config.dim <= 0 || config.dim > (1 << 20) || config.M < 2 ||
-      config.M > (1 << 20) || config.ef_construction <= 0 ||
-      config.ef_search <= 0) {
-    return Status::DataLoss("HNSW config out of range");
-  }
-  std::vector<float> data;
-  std::vector<i32> levels;
-  std::vector<u32> list_sizes;
-  std::vector<u32> all_ids;
-  u32 entry = 0;
-  i32 max_level = -1;
-  DJ_RETURN_IF_ERROR(reader.ReadFloatArray(&data));
-  DJ_RETURN_IF_ERROR(reader.ReadI32Array(&levels));
-  DJ_RETURN_IF_ERROR(reader.ReadU32Array(&list_sizes));
-  DJ_RETURN_IF_ERROR(reader.ReadU32Array(&all_ids));
-  DJ_RETURN_IF_ERROR(reader.ReadU32(&entry));
-  DJ_RETURN_IF_ERROR(reader.ReadI32(&max_level));
-  std::vector<u32> deleted_ids;
-  if (version >= 2) {
-    DJ_RETURN_IF_ERROR(reader.ReadU32Array(&deleted_ids));
-  }
-
-  const u64 n = levels.size();
-  if (data.size() != n * static_cast<u64>(config.dim)) {
-    return Status::DataLoss("HNSW vector payload does not match node count");
-  }
-  return BuildLive(config, data.data(), n, levels, list_sizes, all_ids,
-                   entry, max_level, deleted_ids);
-}
-
 Result<HnswIndex> HnswIndex::BuildLive(
     HnswConfig config, const float* rows, u64 n,
     const std::vector<i32>& levels, const std::vector<u32>& list_sizes,
@@ -691,9 +585,8 @@ Result<HnswIndex> HnswIndex::BuildLive(
     if (id >= n) return Status::DataLoss("HNSW tombstone id out of range");
   }
 
-  // A file written with a smaller capacity than its node count (or a v1
-  // file, whose config has the default) still loads: capacity covers the
-  // nodes on disk.
+  // A file written with a smaller capacity than its node count still
+  // loads: capacity covers the nodes on disk.
   if (static_cast<u64>(config.max_elements) < n) {
     config.max_elements = static_cast<u32>(n);
   }

@@ -154,16 +154,6 @@ class HnswIndex : public VectorIndex {
   static Result<std::unique_ptr<HnswIndex>> LoadPayload(
       BinaryReader& reader, const OpenOptions& options);
 
-  /// Emits the pre-DJIX standalone format ("HNSW" magic, v2). Retained so
-  /// tests can generate backward-compat fixtures; new code saves through
-  /// the virtual Save. OpenIndex still reads files in this format.
-  void SaveLegacy(BinaryWriter& writer) const;
-
-  /// Decodes the legacy format after its magic word was consumed (the
-  /// index_io fallback path). Produces a live (mutable, owned-float)
-  /// index — the only mode the legacy format supports.
-  static Result<HnswIndex> LoadLegacyAfterMagic(BinaryReader& reader);
-
   /// True for a store-backed index opened read-only (mapped and/or SQ8):
   /// Insert/Add are unavailable; Remove still works.
   bool read_only() const { return store_ != nullptr; }
@@ -314,7 +304,8 @@ class HnswIndex : public VectorIndex {
   void TouchGraph(const u32* p, u64 nwords) const;
 
   /// Builds a live (mutable) index from decoded rows + packed graph — the
-  /// {kOwned, kFloat} open path and the legacy loader's shared tail.
+  /// {kOwned, kFloat} open path's tail. Validates the decoded graph (level
+  /// range, list and id counts, entry point, tombstones) as DataLoss.
   static Result<HnswIndex> BuildLive(HnswConfig config, const float* rows,
                                      u64 n, const std::vector<i32>& levels,
                                      const std::vector<u32>& list_sizes,

@@ -9,39 +9,10 @@
 namespace deepjoin {
 namespace ann {
 
-namespace {
-
-// The legacy standalone HNSW format's magic word, mirrored from hnsw.cc
-// (the constant there is file-local by design — this is the only other
-// reader).
-constexpr u32 kLegacyHnswMagic = 0x484E5357;  // "HNSW"
-
-}  // namespace
-
 Result<std::unique_ptr<VectorIndex>> LoadIndexPayload(
     BinaryReader& reader, const OpenOptions& options) {
   u32 magic = 0;
   DJ_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  if (magic == kLegacyHnswMagic) {
-    // Legacy standalone HNSW: always decodes into a live owned-float
-    // index, so non-default open knobs would be silently ignored — reject
-    // them instead.
-    if (options.storage != StorageKind::kAuto &&
-        options.storage != StorageKind::kFloat) {
-      return Status::FailedPrecondition(
-          "legacy HNSW file holds float rows only; re-save through the "
-          "DJIX format for SQ8");
-    }
-    if (options.map != MapMode::kOwned) {
-      return Status::FailedPrecondition(
-          "legacy HNSW file predates aligned sections and cannot be "
-          "mapped; re-save through the DJIX format");
-    }
-    auto legacy = HnswIndex::LoadLegacyAfterMagic(reader);
-    if (!legacy.ok()) return legacy.status();
-    return std::unique_ptr<VectorIndex>(
-        std::make_unique<HnswIndex>(std::move(legacy).value()));
-  }
   if (magic != kDjIndexMagic) {
     return Status::DataLoss("not an index file (bad magic)");
   }

@@ -10,9 +10,7 @@
 // open is O(1) in the index size: the sections are mmap'd zero-copy and
 // their pages CRC-validate lazily on first touch.
 //
-// Pre-DJIX standalone HNSW files ("HNSW" magic) still open through
-// OpenIndex — the legacy fallback produces a live owned-float index and
-// therefore only accepts default OpenOptions.
+// Any other leading magic word is DataLoss "bad magic".
 #ifndef DEEPJOIN_ANN_INDEX_IO_H_
 #define DEEPJOIN_ANN_INDEX_IO_H_
 
@@ -28,15 +26,14 @@
 namespace deepjoin {
 namespace ann {
 
-/// Opens an index file written by SaveIndexFile (or a legacy standalone
-/// HNSW file). `env` nullptr means Env::Default(). O(1) in the index size
-/// for OpenOptions::kMapped.
+/// Opens an index file written by SaveIndexFile. `env` nullptr means
+/// Env::Default(). O(1) in the index size for OpenOptions::kMapped.
 Result<std::unique_ptr<VectorIndex>> OpenIndex(const std::string& path,
                                                const OpenOptions& options = {},
                                                Env* env = nullptr);
 
-/// The reader-cursor form of OpenIndex: consumes one DJIX (or legacy
-/// HNSW) index from `reader`. Lets callers embed an index inside a larger
+/// The reader-cursor form of OpenIndex: consumes one DJIX index from
+/// `reader`. Lets callers embed an index inside a larger
 /// artifact (the searcher checkpoint does).
 Result<std::unique_ptr<VectorIndex>> LoadIndexPayload(
     BinaryReader& reader, const OpenOptions& options = {});

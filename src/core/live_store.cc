@@ -24,9 +24,7 @@ constexpr u32 kManifestMagic = 0x444A4D46;  // "DJMF"
 constexpr u32 kManifestVersion = 1;
 // index-<gen>.dj (AtomicSave'd DJF1 container): next_column_id, the
 // optional id->column map, then the embedded index as a DJIX payload
-// (ann::SaveIndexPayload). Checkpoints written before the unified format
-// embedded the legacy standalone-HNSW payload instead; recovery reads
-// both (ann::LoadIndexPayload dispatches on the embedded magic).
+// (ann::SaveIndexPayload).
 constexpr u32 kCheckpointMagic = 0x444A434B;  // "DJCK"
 constexpr u32 kCheckpointVersion = 1;
 // wal-<gen>.log (raw appends): a 16-byte header [magic:u32 version:u32

@@ -211,9 +211,8 @@ class EmbeddingSearcher {
   /// preserving lifecycle). Loading into a live searcher republishes the
   /// loaded state as a new generation, like BuildIndex. Saves are atomic
   /// (tmp + fsync + rename; a crash or failure leaves the previous
-  /// artifact intact); corrupt files load as DataLoss, never an abort —
-  /// pre-DJIX standalone HNSW files still load. `env` nullptr →
-  /// Env::Default().
+  /// artifact intact); corrupt or foreign files load as DataLoss, never
+  /// an abort. `env` nullptr → Env::Default().
   Status SaveIndex(const std::string& path, Env* env = nullptr,
                    const ann::SaveOptions& save = {}) const;
   Status LoadIndex(const std::string& path, Env* env = nullptr,

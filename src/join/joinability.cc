@@ -88,47 +88,6 @@ std::vector<Scored> ExactEquiTopK(const TokenizedRepository& repo,
   return top.Take();
 }
 
-TokenMultiset TokenizeMultiset(const lake::Column& column,
-                               CellDictionary* dict) {
-  TokenMultiset out;
-  out.tokens.reserve(column.cells.size());
-  for (const auto& cell : column.cells) {
-    out.tokens.push_back(dict->GetOrAssign(cell));
-  }
-  std::sort(out.tokens.begin(), out.tokens.end());
-  return out;
-}
-
-double MultisetJoinability(const TokenMultiset& q, const TokenMultiset& x) {
-  if (q.tokens.empty() || x.tokens.empty()) return 0.0;
-  // Merge over sorted runs: each shared value v contributes
-  // count_q(v) * count_x(v) join results.
-  size_t i = 0, j = 0;
-  u64 join_results = 0;
-  while (i < q.tokens.size() && j < x.tokens.size()) {
-    if (q.tokens[i] < x.tokens[j]) {
-      ++i;
-    } else if (q.tokens[i] > x.tokens[j]) {
-      ++j;
-    } else {
-      const u32 v = q.tokens[i];
-      u64 cq = 0, cx = 0;
-      while (i < q.tokens.size() && q.tokens[i] == v) {
-        ++cq;
-        ++i;
-      }
-      while (j < x.tokens.size() && x.tokens[j] == v) {
-        ++cx;
-        ++j;
-      }
-      join_results += cq * cx;
-    }
-  }
-  return static_cast<double>(join_results) /
-         (static_cast<double>(q.tokens.size()) *
-          static_cast<double>(x.tokens.size()));
-}
-
 ColumnVectorStore ColumnVectorStore::Build(const lake::Repository& repo,
                                            const FastTextEmbedder& embedder) {
   ColumnVectorStore store;

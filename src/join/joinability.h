@@ -79,22 +79,6 @@ double EquiJoinability(const TokenSet& query, const TokenSet& target);
 std::vector<Scored> ExactEquiTopK(const TokenizedRepository& repo,
                                   const TokenSet& query, size_t k);
 
-/// A column modeled as a multiset of token ids (sorted, duplicates kept),
-/// for the one-to-many / many-to-many extension of §2.1.
-struct TokenMultiset {
-  std::vector<u32> tokens;  // sorted, duplicates preserved
-};
-
-/// Builds the multiset form of a raw column against a (mutable) dictionary.
-TokenMultiset TokenizeMultiset(const lake::Column& column,
-                               CellDictionary* dict);
-
-/// The §2.1 multiset extension: joinability measured by the number of join
-/// *results* — sum over shared values v of count_Q(v) * count_X(v) —
-/// normalized by |Q| * |X| (both multiset sizes), supporting one-to-many,
-/// many-to-one and many-to-many joins. Returns 0 for empty inputs.
-double MultisetJoinability(const TokenMultiset& q, const TokenMultiset& x);
-
 // ---- semantic side ----
 
 /// Cell vectors of every repository column, stored contiguously.

@@ -1,76 +1,24 @@
 #include "nn/matrix.h"
 
-#include <algorithm>
-#include <atomic>
-
-#include "util/thread_pool.h"
-
 namespace deepjoin {
 namespace nn {
-
-namespace {
-
-// Pool for row-parallel GEMM; nullptr means serial. Installed once at
-// startup (SetMatMulThreadPool), read on every large matmul.
-std::atomic<ThreadPool*> g_matmul_pool{nullptr};
-
-// Output rows per parallel chunk. The chunk grid depends only on m — never
-// on the thread count — and every C element's reduction chain lives
-// entirely inside its own row, so any chunking (or none) produces
-// bit-identical results; fixing the grid just keeps scheduling stable.
-constexpr int kGemmRowChunk = 16;
-
-// Below this many multiply-adds the ParallelFor handoff costs more than
-// the arithmetic (the repo's training shapes sit at ~600K and up).
-constexpr long kGemmParallelMinMacs = 1L << 17;
-
-/// Runs fn(i0, rows) over [0, m) either inline or chunked across the pool.
-template <typename Fn>
-void ForEachRowChunk(int m, int n, int k, const Fn& fn) {
-  ThreadPool* pool = g_matmul_pool.load(std::memory_order_acquire);
-  const long macs = static_cast<long>(m) * n * k;
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      m < 2 * kGemmRowChunk || macs < kGemmParallelMinMacs) {
-    fn(0, m);
-    return;
-  }
-  const size_t chunks =
-      static_cast<size_t>((m + kGemmRowChunk - 1) / kGemmRowChunk);
-  pool->ParallelFor(chunks, [m, &fn](size_t ci) {
-    const int i0 = static_cast<int>(ci) * kGemmRowChunk;
-    fn(i0, std::min(kGemmRowChunk, m - i0));
-  });
-}
-
-}  // namespace
-
-void SetMatMulThreadPool(ThreadPool* pool) {
-  g_matmul_pool.store(pool, std::memory_order_release);
-}
 
 void MatMulAccum(const Matrix& a, const Matrix& b, Matrix& c) {
   const int m = a.rows(), k = a.cols(), n = b.cols();
   DJ_CHECK(b.rows() == k && c.rows() == m && c.cols() == n);
-  ForEachRowChunk(m, n, k, [&](int i0, int rows) {
-    kern::SgemmNN(rows, n, k, a.row(i0), k, b.data(), n, c.row(i0), n);
-  });
+  kern::SgemmNN(m, n, k, a.data(), k, b.data(), n, c.data(), n);
 }
 
 void MatMulNTAccum(const Matrix& a, const Matrix& b, Matrix& c) {
   const int m = a.rows(), k = a.cols(), n = b.rows();
   DJ_CHECK(b.cols() == k && c.rows() == m && c.cols() == n);
-  ForEachRowChunk(m, n, k, [&](int i0, int rows) {
-    kern::SgemmNT(rows, n, k, a.row(i0), k, b.data(), k, c.row(i0), n);
-  });
+  kern::SgemmNT(m, n, k, a.data(), k, b.data(), k, c.data(), n);
 }
 
 void MatMulTNAccum(const Matrix& a, const Matrix& b, Matrix& c) {
   const int k = a.rows(), m = a.cols(), n = b.cols();
   DJ_CHECK(b.rows() == k && c.rows() == m && c.cols() == n);
-  // Output row i reads column i of A; a chunk is a column band of A.
-  ForEachRowChunk(m, n, k, [&](int i0, int rows) {
-    kern::SgemmTN(rows, n, k, a.data() + i0, m, b.data(), n, c.row(i0), n);
-  });
+  kern::SgemmTN(m, n, k, a.data(), m, b.data(), n, c.data(), n);
 }
 
 }  // namespace nn

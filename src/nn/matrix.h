@@ -14,9 +14,6 @@
 #include "util/rng.h"
 
 namespace deepjoin {
-
-class ThreadPool;
-
 namespace nn {
 
 class Matrix {
@@ -74,16 +71,10 @@ void MatMulNTAccum(const Matrix& a, const Matrix& b, Matrix& c);
 /// C += A^T @ B. A is [k,m], B is [k,n], C is [m,n].
 void MatMulTNAccum(const Matrix& a, const Matrix& b, Matrix& c);
 
-// All three variants accumulate in single precision through the shared
-// kern::Sgemm* microkernel (one documented chain per element; see
-// util/kernels.h). Historically MatMulNTAccum accumulated in double while
-// the other two used float — one precision now covers all variants.
-
-/// Installs (or clears, with nullptr) the pool large MatMul*Accum calls
-/// split across, chunking output rows into fixed-size blocks. The split is
-/// deterministic and each element's reduction chain is row-local, so
-/// parallel results are bit-identical to serial for any thread count.
-void SetMatMulThreadPool(ThreadPool* pool);
+// Each variant is one kern::Sgemm* call over all m output rows on the
+// calling thread, accumulating in single precision (one documented chain
+// per element; see util/kernels.h), so results depend only on the kernel
+// tier and GEMM path, never on the caller.
 
 }  // namespace nn
 }  // namespace deepjoin

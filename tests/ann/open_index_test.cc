@@ -1,16 +1,19 @@
 // The unified open/save API end to end (DESIGN.md §14): every backend x
 // {owned, mapped} round trip through SaveIndexFile/OpenIndex, SQ8 saves
 // with refine_factor reranking, clean failure when mmap itself fails
-// (FaultInjectionEnv), and a mapped-path corruption torture — one byte
-// flipped per 64-byte stride must yield a non-OK open or defined (and
-// detectable) results, never UB. Runs under the `fault` ctest label so
-// the ASan/UBSan legs of tools/check.sh cover the mapped reads.
+// (FaultInjectionEnv), header and graph rejections (foreign magic, future
+// version, an inconsistent HNSW entry point) as DataLoss, and a
+// mapped-path corruption torture — one byte flipped per 64-byte stride
+// must yield a non-OK open or defined (and detectable) results, never UB.
+// Runs under the `fault` ctest label so the ASan/UBSan legs of
+// tools/check.sh cover the mapped reads.
 #include "ann/index_io.h"
 
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -217,6 +220,102 @@ TEST_F(OpenIndexTest, HnswQuantizedSaveRoundTrips) {
     recall += Overlap(want, hnsw->Search(query(q), 10, refine));
   }
   EXPECT_GE(recall / 8.0, 0.8);
+}
+
+// An index with no rows survives both open modes (the packed graph is the
+// single upper-offset word, the row section is empty).
+TEST_F(OpenIndexTest, EmptyHnswRoundTripsOwnedAndMapped) {
+  HnswConfig hc;
+  hc.dim = kDim;
+  hc.M = 8;
+  const HnswIndex empty(hc);
+  ASSERT_TRUE(SaveIndexFile(empty, path_).ok());
+  for (const MapMode map : {MapMode::kOwned, MapMode::kMapped}) {
+    auto loaded = OpenIndex(path_, OpenOptions{.map = map});
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_STREQ(loaded.value()->name(), "hnsw");
+    EXPECT_EQ(loaded.value()->size(), 0u);
+    EXPECT_EQ(loaded.value()->dim(), kDim);
+    EXPECT_TRUE(loaded.value()->Search(query(0), 5).empty());
+  }
+}
+
+// A well-formed record file whose first word is not DJIX — here the magic
+// of the retired standalone HNSW format — is refused as DataLoss.
+TEST_F(OpenIndexTest, ForeignMagicIsDataLossNotAbort) {
+  {
+    BinaryWriter writer(path_);
+    ASSERT_TRUE(writer.Open().ok());
+    writer.WriteU32(0x484E5357);  // "HNSW"
+    writer.WriteU32(2);
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  auto loaded = OpenIndex(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST_F(OpenIndexTest, FutureVersionIsDataLossNamingIt) {
+  const u32 future = kDjIndexVersion + 1;
+  {
+    BinaryWriter writer(path_);
+    ASSERT_TRUE(writer.Open().ok());
+    writer.WriteU32(kDjIndexMagic);
+    writer.WriteU32(future);
+    writer.WriteString("hnsw");
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  auto loaded = OpenIndex(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find(std::to_string(future)),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+// Every record's CRC is valid, so only the semantic graph checks stand
+// between this file and a live index: one node at level 0 whose stored
+// entry point is out of range must reach BuildLive's rejection.
+TEST_F(OpenIndexTest, InconsistentHnswEntryPointIsDataLoss) {
+  constexpr int kM = 2;
+  constexpr u32 kCap0 = 1 + 2 * kM;  // level-0 row: count + 2M ids
+  {
+    BinaryWriter writer(path_);
+    ASSERT_TRUE(writer.Open().ok());
+    writer.WriteU32(kDjIndexMagic);
+    writer.WriteU32(kDjIndexVersion);
+    writer.WriteString("hnsw");
+    writer.WriteI32(2);    // dim
+    writer.WriteI32(kM);   // M
+    writer.WriteI32(8);    // ef_construction
+    writer.WriteI32(8);    // ef_search
+    writer.WriteU64(11);   // seed
+    writer.WriteU32(16);   // max_elements
+    writer.WriteU64(1);    // n
+    writer.WriteU32(5);    // entry point: out of range
+    writer.WriteI32(0);    // max_level
+    writer.WriteU32Array(nullptr, 0);  // tombstones
+    writer.WriteU32(static_cast<u32>(StorageKind::kFloat));
+    writer.WriteU32(0);    // no refinement payload
+    writer.WriteU64(0);    // upper_len
+    // Packed graph: levels[1], an empty level-0 row, upper offsets[2].
+    std::vector<u32> words(1 + kCap0 + 2, 0);
+    writer.WriteAlignedSection(words.data(), words.size() * sizeof(u32));
+    const float row[2] = {0.0f, 1.0f};
+    ASSERT_TRUE(
+        FloatStore::SaveFromRows(writer, 2, 1, [&row](u64) { return row; })
+            .ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  auto loaded = OpenIndex(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find(
+                "entry point inconsistent with levels"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST_F(OpenIndexTest, MissingFileIsIoErrorNotCrash) {

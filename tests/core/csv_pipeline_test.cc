@@ -1,6 +1,6 @@
 // Integration test: the CSV ingestion path feeds the full DeepJoin
-// pipeline (train -> persist -> reload -> index -> two-stage search) —
-// the adoption path a downstream user takes with real files.
+// pipeline (train -> persist -> reload -> index -> search) — the adoption
+// path a downstream user takes with real files.
 #include <filesystem>
 #include <fstream>
 
@@ -8,7 +8,6 @@
 
 #include "core/deepjoin.h"
 #include "core/model_io.h"
-#include "core/reranker.h"
 #include "lake/csv_loader.h"
 #include "lake/generator.h"
 
@@ -76,18 +75,17 @@ TEST_F(CsvPipelineTest, EndToEndThroughFiles) {
   SearcherConfig sc;
   EmbeddingSearcher searcher(loaded->get(), sc);
   ASSERT_TRUE(searcher.BuildIndex(*repo).ok());
-  auto tok = join::TokenizedRepository::Build(*repo);
-  TwoStageSearcher two_stage(&searcher, &tok, nullptr, nullptr,
-                             TwoStageConfig{});
+  // The same lake indexed by the encoder that was saved: the reloaded
+  // model must serve exactly what the trained one would.
+  EmbeddingSearcher trained(&dj->encoder(), sc);
+  ASSERT_TRUE(trained.BuildIndex(*repo).ok());
 
   for (const auto& q : queries_) {
-    auto out = two_stage.Search(q, {.k = 5});
-    ASSERT_EQ(out.results.size(), 5u);
-    for (const auto& s : out.results) {
-      EXPECT_LT(s.id, repo->size());
-      EXPECT_GE(s.score, 0.0);
-      EXPECT_LE(s.score, 1.0);
-    }
+    const auto out = searcher.Search(q, {.k = 5});
+    ASSERT_EQ(out.ids.size(), 5u);
+    for (u32 id : out.ids) EXPECT_LT(id, repo->size());
+    EXPECT_EQ(out.ids, trained.Search(q, {.k = 5}).ids)
+        << "query " << q.meta.column_name;
   }
 }
 

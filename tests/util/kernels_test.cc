@@ -33,7 +33,6 @@
 #include "nn/matrix.h"
 #include "nn/optimizer.h"
 #include "nn/transformer.h"
-#include "util/thread_pool.h"
 
 namespace deepjoin {
 namespace kern {
@@ -739,30 +738,6 @@ TEST(KernelsTest, SgemmIsLeadingDimensionInvariant) {
       ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                                c1.size() * sizeof(float)))
           << GemmPathName(path) << " variant=" << static_cast<int>(v);
-    }
-  }
-}
-
-TEST(KernelsTest, ParallelMatMulBitIdenticalToSerial) {
-  // MatMul*Accum split rows across a pool; the determinism contract says
-  // any thread count produces the serial bits.
-  const int m = 96, k = 64, n = 192;
-  nn::Matrix a(m, k), b(k, n);
-  for (int i = 0; i < m * k; ++i) a.data()[i] = TestValue(i);
-  for (int i = 0; i < k * n; ++i) b.data()[i] = TestValue(i + 31337);
-  for (GemmPath path : AvailableGemmPaths()) {
-    ForcedGemmPath forced(path);
-    nn::Matrix serial(m, n);
-    nn::MatMulAccum(a, b, serial);
-    for (size_t threads : {2u, 4u, 7u}) {
-      ThreadPool pool(threads);
-      nn::SetMatMulThreadPool(&pool);
-      nn::Matrix parallel(m, n);
-      nn::MatMulAccum(a, b, parallel);
-      nn::SetMatMulThreadPool(nullptr);
-      ASSERT_EQ(0, std::memcmp(serial.data(), parallel.data(),
-                               serial.size() * sizeof(float)))
-          << GemmPathName(path) << " threads=" << threads;
     }
   }
 }
