@@ -11,7 +11,6 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/transformer.h"
-#include "util/alloc_guard.h"
 #include "util/kernels.h"
 #include "util/metrics.h"
 
@@ -20,18 +19,6 @@ namespace {
 
 using bench::BenchConfig;
 using bench::BenchEnv;
-
-// Attaches an allocs-per-op counter when the alloc-guard runtime is
-// compiled in (Debug / -DDJ_ALLOC_GUARD=ON builds). Release snapshots
-// simply omit the column — the guard's new/delete hooks are not there to
-// count, and timing numbers stay unperturbed.
-void ReportAllocsPerOp(benchmark::State& state,
-                       const alloc_guard::ScopedAllocCount& tally) {
-  if (!alloc_guard::Enabled()) return;
-  state.counters["allocs_per_op"] =
-      benchmark::Counter(static_cast<double>(tally.allocations()),
-                         benchmark::Counter::kAvgIterations);
-}
 
 BenchEnv& SharedEnv() {
   static BenchEnv* env = [] {
@@ -312,7 +299,7 @@ core::PlmColumnEncoder& SharedMpnetEncoder() {
 
 // Encodes a fixed set of the lake's first 256 columns, each encoded once
 // before the clock starts: scratch buffers grow to the longest column seen,
-// so the tally below sees the steady state, not first-call growth.
+// so the timed loop sees the steady state, not first-call growth.
 void BM_EncodeToVectorFastPath(benchmark::State& state) {
   auto& env = SharedEnv();
   auto& encoder = SharedMpnetEncoder();
@@ -323,12 +310,10 @@ void BM_EncodeToVectorFastPath(benchmark::State& state) {
     encoder.EncodeInto(env.repo().column(c), out.data());
   }
   u32 i = 0;
-  alloc_guard::ScopedAllocCount tally;
   for (auto _ : state) {
     encoder.EncodeInto(env.repo().column(i++ % columns), out.data());
     benchmark::DoNotOptimize(out.data());
   }
-  ReportAllocsPerOp(state, tally);
   kern::ClearForcedTierForTest();
 }
 BENCHMARK(BM_EncodeToVectorFastPath)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
@@ -505,20 +490,17 @@ void BM_HnswSearch(benchmark::State& state) {
   }();
   Rng rng(2);
   std::vector<float> q(dim);
-  alloc_guard::ScopedAllocCount tally;
   for (auto _ : state) {
     for (auto& x : q) x = static_cast<float>(rng.Normal());
     auto hits = index->Search(q.data(), static_cast<size_t>(state.range(0)));
     benchmark::DoNotOptimize(hits.data());
   }
-  ReportAllocsPerOp(state, tally);
 }
 BENCHMARK(BM_HnswSearch)->Arg(10)->Arg(50);
 
 // Steady-state variant: SearchInto with a capacity-reusing output vector —
-// the DJ_NOALLOC contract path EmbeddingSearcher::SearchInto rides. Paired
-// with BM_HnswSearch, the allocs_per_op counters (guard-enabled builds)
-// show the convenience wrapper's per-call result vector vs zero here.
+// the DJ_NOALLOC contract path EmbeddingSearcher::SearchInto rides (its
+// zero allocations are asserted under a ban in alloc_guard_test).
 void BM_HnswSearchInto(benchmark::State& state) {
   const int dim = 32;
   static ann::HnswIndex* index = [&] {
@@ -540,13 +522,11 @@ void BM_HnswSearchInto(benchmark::State& state) {
   const auto k = static_cast<size_t>(state.range(0));
   for (auto& x : q) x = static_cast<float>(rng.Normal());
   index->SearchInto(q.data(), k, params, &hits);  // warm scratch + pool
-  alloc_guard::ScopedAllocCount tally;
   for (auto _ : state) {
     for (auto& x : q) x = static_cast<float>(rng.Normal());
     index->SearchInto(q.data(), k, params, &hits);
     benchmark::DoNotOptimize(hits.data());
   }
-  ReportAllocsPerOp(state, tally);
 }
 BENCHMARK(BM_HnswSearchInto)->Arg(10)->Arg(50);
 
@@ -580,9 +560,8 @@ void BM_HnswSearchMetricsOff(benchmark::State& state) {
 BENCHMARK(BM_HnswSearchMetricsOff)->Arg(10)->Arg(50);
 
 // Full steady-state DeepJoin query (transform -> tokenize -> transformer
-// forward -> HNSW -> copy-out) through EmbeddingSearcher::SearchInto. In
-// guard-enabled builds allocs_per_op is the headline allocations-per-query
-// number; the guarded test suite pins it to zero.
+// forward -> HNSW -> copy-out) through EmbeddingSearcher::SearchInto;
+// alloc_guard_test runs the same steady state under an allocation ban.
 void BM_SearcherSteadyStateQuery(benchmark::State& state) {
   auto& env = SharedEnv();
   static core::EmbeddingSearcher* searcher = [&] {
@@ -596,16 +575,14 @@ void BM_SearcherSteadyStateQuery(benchmark::State& state) {
   const core::SearchOptions options{.k = 10, .collect_stats = false};
   core::EmbeddingSearcher::SearchResult result;
   // One pass over every query warms each thread-local scratch buffer and
-  // pool to its steady-state footprint before the tally starts.
+  // pool to its steady-state footprint before the clock starts.
   for (const auto& q : env.queries()) searcher->SearchInto(q, options, &result);
   size_t i = 0;
-  alloc_guard::ScopedAllocCount tally;
   for (auto _ : state) {
     searcher->SearchInto(env.queries()[i++ % env.queries().size()], options,
                          &result);
     benchmark::DoNotOptimize(result.ids.data());
   }
-  ReportAllocsPerOp(state, tally);
 }
 BENCHMARK(BM_SearcherSteadyStateQuery);
 
@@ -672,14 +649,12 @@ void BM_FlatSearchBatch(benchmark::State& state) {
     }
   };
   run_batch();  // warms the rider slots and the per-tile scratch
-  alloc_guard::ScopedAllocCount tally;
   for (auto _ : state) {
     run_batch();
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(batch));
-  ReportAllocsPerOp(state, tally);
 }
 BENCHMARK(BM_FlatSearchBatch)
     ->Arg(1)

@@ -119,7 +119,7 @@ class HnswIndex : public VectorIndex {
   /// snapshot buffer) and writes into the caller's capacity-reusing
   /// buffer. The DJ_NOALLOC contract covers the steady state — scratch
   /// pool warmed up, no per-query TraceCollector installed — and is
-  /// enforced by tools/dj_alloc plus the guard-enabled searcher test.
+  /// enforced by tools/dj_alloc plus the bans in alloc_guard_test.
   DJ_NOALLOC void SearchInto(const float* query, size_t k,
                              const AnnSearchParams& params,
                              std::vector<Neighbor>* out) const override;

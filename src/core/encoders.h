@@ -85,8 +85,8 @@ class PlmColumnEncoder : public ColumnEncoder {
   /// straight into `out` (bit-identical to Encode; see
   /// TransformerEncoder). The DJ_NOALLOC contract holds for the steady
   /// state — after scratch warmup, with no per-query TraceCollector
-  /// installed — and is enforced by tools/dj_alloc plus the guard-enabled
-  /// searcher test.
+  /// installed — and is enforced by tools/dj_alloc plus the bans in
+  /// alloc_guard_test.
   DJ_NOALLOC void EncodeInto(const lake::Column& column, float* out) override;
   int dim() const override { return encoder_->config().d_model; }
   std::string name() const override {

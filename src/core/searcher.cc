@@ -359,27 +359,9 @@ Status EmbeddingSearcher::RemoveColumnImpl(u32 column_id, u64* lsn) {
       static_cast<double>(dead) >= config_.compact_dead_fraction *
                                        static_cast<double>(
                                            snap->index->size())) {
-    if (config_.compaction_pool != nullptr) {
-      // Off-thread: the remove returns now; a worker takes the writer
-      // token and compacts in the background (tombstoned reads stay
-      // correct in the meantime).
-      ScheduleCompaction();
-    } else {
-      CompactLocked().IgnoreError();
-    }
+    CompactLocked().IgnoreError();
   }
   return Status::OK();
-}
-
-void EmbeddingSearcher::ScheduleCompaction() {
-  bool expected = false;
-  // At most one queued/running background compact; concurrent triggers
-  // collapse into it (and a later remove re-arms the trigger).
-  if (!compact_scheduled_.compare_exchange_strong(expected, true)) return;
-  config_.compaction_pool->Submit([this] {
-    Compact().IgnoreError();  // best-effort, like the inline trigger
-    compact_scheduled_.store(false);
-  });
 }
 
 Status EmbeddingSearcher::Compact() {

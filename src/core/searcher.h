@@ -18,7 +18,6 @@
 #ifndef DEEPJOIN_CORE_SEARCHER_H_
 #define DEEPJOIN_CORE_SEARCHER_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -70,12 +69,6 @@ struct SearcherConfig {
   /// the shared fsync. 0 = sync immediately (still batches whatever is
   /// already appended). (Config duration, not a timing surface.)
   double wal_commit_window_ms = 0.5;  // dj_lint: allow(adhoc-timing)
-  /// When set, the tombstone-triggered automatic Compact() is scheduled on
-  /// this pool instead of running inline on the mutating thread — the
-  /// client that happened to trip the threshold no longer pays the
-  /// compaction pause. The pool must outlive the searcher, and callers
-  /// must drain it (ThreadPool::Wait) before destroying the searcher.
-  ThreadPool* compaction_pool = nullptr;
 };
 
 /// Per-call search options. Replaces the old positional `k` — and the old
@@ -236,7 +229,7 @@ class EmbeddingSearcher {
   /// capacity-reusing scratch, runs the pinned snapshot's index through
   /// VectorIndex::SearchInto, and refills out->ids in place. Search()
   /// forwards here. The DJ_NOALLOC contract (enforced by tools/dj_alloc
-  /// and the guard-enabled searcher test) covers the steady state: scratch
+  /// and the bans in alloc_guard_test) covers the steady state: scratch
   /// and pools warmed up, options.collect_stats == false (a TraceCollector
   /// allocates by design), and an HNSW backend (flat and IVFPQ SearchInto
   /// build a TopK per query).
@@ -401,12 +394,6 @@ class EmbeddingSearcher {
   Result<u32> AddColumnImpl(const lake::Column& column, u64* lsn);
   Status RemoveColumnImpl(u32 column_id, u64* lsn);
 
-  /// Hands the tombstone-triggered auto-compact to config_.compaction_pool
-  /// (at most one scheduled at a time). The scheduled task acquires the
-  /// writer token itself; the mutator that tripped the threshold has
-  /// already moved on.
-  void ScheduleCompaction();
-
   ColumnEncoder* encoder_;
   SearcherConfig config_;
   int dim_ = 0;
@@ -433,11 +420,7 @@ class EmbeddingSearcher {
 
   /// Durable home in live mode (OpenLive); nullptr = in-memory only. Set
   /// once, never replaced.
-  std::unique_ptr<LiveStore> store_;
-
-  /// True while an auto-compact is queued/running on compaction_pool.
-  std::atomic<bool> compact_scheduled_{false};
-};
+  std::unique_ptr<LiveStore> store_;};
 
 }  // namespace core
 }  // namespace deepjoin

@@ -1,25 +1,27 @@
-// Runtime half of the allocation discipline (see alloc_guard.h). The
-// global operator new/delete replacements live in THIS translation unit
-// together with every public entry point, so linking any alloc_guard
-// symbol from the static library pulls the replacement operators into the
-// final binary (a strong definition in a linked object beats libstdc++'s
-// archive default).
+// The dj_guard object library: the runtime half of the allocation
+// discipline (see alloc_guard.h) and the switch of the lock-rank runtime
+// (see lock_rank.h). Being an object library, it is linked whole into
+// every binary that lists it, so the global operator new/delete
+// replacements below always come with it (a strong definition in a linked
+// object beats libstdc++'s archive default), and so does the strong
+// definition of the lock-rank flag.
 #include "util/alloc_guard.h"
 
-#if defined(DJ_ALLOC_GUARD)
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 
+#include "util/lock_rank.h"
 #include "util/metrics.h"
-#endif
 
 namespace deepjoin {
+
+// Replaces lock_rank.cc's weak `false`: linking dj_guard turns the
+// lock-rank hooks on.
+std::atomic<bool> lock_rank::internal::g_guard_linked{true};
+
 namespace alloc_guard {
-
-#if defined(DJ_ALLOC_GUARD)
-
 namespace {
 
 // Per-thread guard state. Trivially initialised POD on purpose: the hooks
@@ -69,8 +71,6 @@ void* GuardedAlloc(std::size_t size, std::size_t align, bool can_throw) {
 
 }  // namespace
 
-bool Enabled() { return true; }
-
 ScopedAllocBan::ScopedAllocBan(const char* why, std::source_location loc)
     : prev_why_(g_tls.ban_why),
       prev_file_(g_tls.ban_file),
@@ -116,19 +116,8 @@ void PublishMetrics() {
   reg.GetGauge("dj_alloc_bytes")->Set(static_cast<double>(TotalBytes()));
 }
 
-#else  // !DJ_ALLOC_GUARD
-
-bool Enabled() { return false; }
-std::uint64_t TotalAllocations() { return 0; }
-std::uint64_t TotalBytes() { return 0; }
-void PublishMetrics() {}
-
-#endif  // DJ_ALLOC_GUARD
-
 }  // namespace alloc_guard
 }  // namespace deepjoin
-
-#if defined(DJ_ALLOC_GUARD)
 
 // ---- Global operator new/delete replacements ----
 // Deletes are never banned (releasing memory is always legal) and route
@@ -189,5 +178,3 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
-
-#endif  // DJ_ALLOC_GUARD

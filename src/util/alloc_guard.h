@@ -1,12 +1,14 @@
-// Allocation-discipline runtime (DESIGN.md §11): global operator new /
-// delete hooks with thread-local allocation bans and tallies, plus the
-// DJ_NOALLOC source annotation consumed by tools/dj_alloc.
+// Allocation discipline (DESIGN.md §11): the DJ_NOALLOC source annotation
+// consumed by tools/dj_alloc, and the declarations of the runtime guard.
 //
-// The contract mirrors the lock-rank layer (src/util/lock_rank.h): the
-// hooks compile in only under -DDJ_ALLOC_GUARD (CMake option
-// DJ_ALLOC_GUARD, defaulted ON for Debug and sanitizer builds). A release
-// build pays nothing — the scoped guards collapse to empty structs and the
-// global operator new replacements are not compiled at all.
+// The runtime is switched on by linking, not by a build option. Its
+// definitions, together with the global operator new/delete replacements
+// that feed it, live in the dj_guard object library (util/alloc_guard.cc),
+// which every test binary, tools/dj_stats and tools/dj_lockgraph link and
+// nothing else does. A binary that names a ScopedAllocBan therefore always
+// has the hook behind it; one that does not link dj_guard keeps the
+// standard allocator untouched. Linking dj_guard also turns on the
+// lock-rank runtime (util/lock_rank.h).
 //
 // Two scoped guards:
 //
@@ -19,7 +21,7 @@
 //   alloc_guard::ScopedAllocCount tally;
 //     Counts this thread's allocations and allocated bytes between
 //     construction and the allocations()/bytes() calls. Used by the
-//     allocs-per-op bench counters and the steady-state searcher test.
+//     steady-state tests to double-check a ban's zero.
 //
 // DJ_NOALLOC is a pure lexical marker (expands to nothing): placing it on
 // a function declaration promises the function performs no heap
@@ -35,10 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#if defined(DJ_ALLOC_GUARD)
 #include <source_location>
-#endif
 
 // Lexical annotation: "this function allocates nothing on any path".
 // Enforced statically by tools/dj_alloc; carries no runtime semantics.
@@ -46,14 +45,6 @@
 
 namespace deepjoin {
 namespace alloc_guard {
-
-/// True when the tree was compiled with -DDJ_ALLOC_GUARD (the operator
-/// new/delete replacements below are live). Tests use this to skip the
-/// runtime-enforcement cases in builds where the layer is compiled out,
-/// and bench_micro gates its allocs-per-op counters on it.
-bool Enabled();
-
-#if defined(DJ_ALLOC_GUARD)
 
 /// Thread-local allocation ban. While any ban is in scope on a thread,
 /// operator new (all variants) aborts with the ban site and the requested
@@ -88,25 +79,7 @@ class ScopedAllocCount {
   std::uint64_t start_bytes_;
 };
 
-#else  // !DJ_ALLOC_GUARD — zero-cost shims, same shapes.
-
-class ScopedAllocBan {
- public:
-  explicit ScopedAllocBan(const char*) {}
-  ScopedAllocBan(const ScopedAllocBan&) = delete;
-  ScopedAllocBan& operator=(const ScopedAllocBan&) = delete;
-};
-
-class ScopedAllocCount {
- public:
-  ScopedAllocCount() = default;
-  std::uint64_t allocations() const { return 0; }
-  std::uint64_t bytes() const { return 0; }
-};
-
-#endif  // DJ_ALLOC_GUARD
-
-/// Process-wide totals across all threads (0 when compiled out).
+/// Process-wide totals across all threads.
 std::uint64_t TotalAllocations();
 std::uint64_t TotalBytes();
 

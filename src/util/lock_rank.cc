@@ -132,13 +132,9 @@ void AcquireImpl(const void* mu, const char* name, int rank, const char* file,
 
 }  // namespace
 
-bool Enabled() {
-#if defined(DJ_LOCK_RANK)
-  return true;
-#else
-  return false;
-#endif
-}
+// The default for binaries without dj_guard; util/alloc_guard.cc holds the
+// strong definition that replaces it.
+[[gnu::weak]] std::atomic<bool> internal::g_guard_linked{false};
 
 void OnAcquire(const void* mu, const char* name, int rank, const char* file,
                unsigned line) {

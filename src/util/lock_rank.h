@@ -15,10 +15,13 @@
 // observed lock-order graph is acyclic by construction and the process can
 // never deadlock on ranked locks.
 //
-// The checks compile in only under -DDJ_LOCK_RANK (CMake option
-// DJ_LOCK_RANK, defaulted ON for Debug and sanitizer builds): a release
-// build pays nothing — the hooks are never called and the named
-// constructor collapses to the default one. The default `Mutex()`
+// The checks are switched on by linking, not by a build option: every
+// library builds one way, and the wrappers in util/mutex.h call the hooks
+// below only when Enabled(). Enabled() reads a flag whose value is fixed
+// at link time: false by default, true in any binary that links the
+// dj_guard object library (util/alloc_guard.cc), which every test binary,
+// tools/dj_stats and tools/dj_lockgraph do. Production binaries pay one
+// load and a never-taken branch per wrapper call. The default `Mutex()`
 // constructor stays available for portability and for short-lived
 // test-local locks; unranked locks participate in the held stack (so
 // CondVar::Wait checks still see them) but skip rank validation.
@@ -32,6 +35,7 @@
 #ifndef DEEPJOIN_UTIL_LOCK_RANK_H_
 #define DEEPJOIN_UTIL_LOCK_RANK_H_
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -64,12 +68,19 @@ inline constexpr int kUnranked = -1;
 
 namespace lock_rank {
 
-/// True when the tree was compiled with -DDJ_LOCK_RANK (the hooks below
-/// are live). Tests use this to skip the runtime-enforcement cases in
-/// builds where the layer is compiled out.
-bool Enabled();
+namespace internal {
+/// Weakly defined false in lock_rank.cc and strongly defined true in
+/// dj_guard, so the linker picks the value and no static initializer can
+/// run before it. Never written; read only through Enabled().
+extern std::atomic<bool> g_guard_linked;
+}  // namespace internal
 
-// ---- Hooks called by util/mutex.h (only under DJ_LOCK_RANK) ----
+/// True in binaries that link dj_guard: the hooks below are live.
+inline bool Enabled() {
+  return internal::g_guard_linked.load(std::memory_order_relaxed);
+}
+
+// ---- Hooks called by util/mutex.h (only when Enabled()) ----
 // `mu` is an opaque identity pointer; `name` is the registered lock name
 // (nullptr for unranked locks); `file:line` is the acquisition site.
 

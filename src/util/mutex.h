@@ -14,13 +14,16 @@
 //
 //   Mutex mu_{"threadpool.queue", rank::kPool};
 //
-// Under -DDJ_LOCK_RANK (on in Debug/sanitizer builds, compiled out
-// otherwise) every Lock/Unlock/Wait maintains a thread-local held-locks
-// stack: acquiring a lock whose rank is not strictly greater than every
-// held rank aborts with both lock names and acquisition sites, and each
-// observed acquired-while-holding edge lands in the process-wide
-// LockOrderGraph (dumped by tools/dj_lockgraph). The static companion,
-// tools/dj_deadlock, derives the same graph from source at lint time.
+// In a binary that links the dj_guard object library (every test binary,
+// tools/dj_stats and tools/dj_lockgraph) every Lock/Unlock/Wait maintains
+// a thread-local held-locks stack: acquiring a lock whose rank is not
+// strictly greater than every held rank aborts with both lock names and
+// acquisition sites, and each observed acquired-while-holding edge lands
+// in the process-wide LockOrderGraph (dumped by tools/dj_lockgraph). The
+// static companion, tools/dj_deadlock, derives the same graph from source
+// at lint time.
+// Elsewhere lock_rank::Enabled() is false and each wrapper call pays one
+// load of that link-time flag and a never-taken branch.
 //
 // Conventions (enforced by dj_lint rule `raw-mutex`: no std::mutex /
 // std::lock_guard / std::condition_variable outside this header):
@@ -40,10 +43,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-
-#if defined(DJ_LOCK_RANK)
 #include <source_location>
-#endif
 
 #include "util/lock_rank.h"
 
@@ -96,32 +96,34 @@ class CondVar;
 /// HnswIndex does with its VisitedPool.
 ///
 /// The two-argument constructor names and ranks the lock for the lock-rank
-/// discipline; under DJ_LOCK_RANK the name/rank are stored and enforced,
-/// otherwise the constructor is an empty shim so call sites compile
-/// identically in both modes at zero cost.
+/// discipline. The name and rank are always stored; they are registered
+/// and enforced when lock_rank::Enabled().
 class DJ_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-#if defined(DJ_LOCK_RANK)
   Mutex(const char* name, int rank,
         std::source_location loc = std::source_location::current())
       : name_(name), rank_(rank) {
-    lock_rank::RegisterLock(name, rank, loc.file_name(), loc.line());
+    if (lock_rank::Enabled()) {
+      lock_rank::RegisterLock(name, rank, loc.file_name(), loc.line());
+    }
   }
 
   void Lock(std::source_location loc = std::source_location::current())
       DJ_ACQUIRE() {
     // Validate before blocking: an inversion aborts with a report instead
     // of deadlocking inside mu_.lock().
-    lock_rank::OnAcquire(this, name_, rank_, loc.file_name(), loc.line());
+    if (lock_rank::Enabled()) {
+      lock_rank::OnAcquire(this, name_, rank_, loc.file_name(), loc.line());
+    }
     mu_.lock();
   }
 
   void Unlock() DJ_RELEASE() {
-    lock_rank::OnRelease(this);
+    if (lock_rank::Enabled()) lock_rank::OnRelease(this);
     mu_.unlock();
   }
 
@@ -132,24 +134,18 @@ class DJ_CAPABILITY("mutex") Mutex {
   bool TryLock(std::source_location loc = std::source_location::current())
       DJ_TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    lock_rank::OnTryAcquire(this, name_, rank_, loc.file_name(), loc.line());
+    if (lock_rank::Enabled()) {
+      lock_rank::OnTryAcquire(this, name_, rank_, loc.file_name(),
+                              loc.line());
+    }
     return true;
   }
-#else
-  Mutex(const char* /*name*/, int /*rank*/) {}
-
-  void Lock() DJ_ACQUIRE() { mu_.lock(); }
-  void Unlock() DJ_RELEASE() { mu_.unlock(); }
-  bool TryLock() DJ_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-#endif
 
  private:
   friend class CondVar;  // Wait() releases/reacquires during the sleep
   std::mutex mu_;
-#if defined(DJ_LOCK_RANK)
   const char* name_ = nullptr;  // nullptr = unranked (default ctor)
   int rank_ = rank::kUnranked;
-#endif
 };
 
 /// Scoped lock (RAII): acquires in the constructor, releases in the
@@ -157,16 +153,12 @@ class DJ_CAPABILITY("mutex") Mutex {
 /// lock as held for exactly the block that contains the MutexLock.
 class DJ_SCOPED_CAPABILITY MutexLock {
  public:
-#if defined(DJ_LOCK_RANK)
   explicit MutexLock(Mutex& mu,
                      std::source_location loc = std::source_location::current())
       DJ_ACQUIRE(mu)
       : mu_(mu) {
     mu_.Lock(loc);
   }
-#else
-  explicit MutexLock(Mutex& mu) DJ_ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-#endif
   ~MutexLock() DJ_RELEASE() { mu_.Unlock(); }
 
   MutexLock(const MutexLock&) = delete;
@@ -183,7 +175,8 @@ class DJ_SCOPED_CAPABILITY MutexLock {
 ///   MutexLock lock(mu_);
 ///   while (!ReadyLocked()) cv_.Wait(mu_);
 ///
-/// Waiting while holding a SECOND lock is a hard error under DJ_LOCK_RANK:
+/// Waiting while holding a SECOND lock is a hard error when the lock-rank
+/// runtime is on (lock_rank::Enabled()):
 /// Wait() releases only `mu`, so any other lock stays held across an
 /// unbounded sleep — the thread that is supposed to Notify may first need
 /// that very lock, which is the canonical condvar deadlock, and no rank
@@ -199,7 +192,6 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-#if defined(DJ_LOCK_RANK)
   /// Atomically releases `mu`, sleeps until notified, reacquires `mu`.
   /// Spurious wakeups happen; always re-check the condition in a loop.
   void Wait(Mutex& mu,
@@ -208,10 +200,14 @@ class CondVar {
     // Pop `mu` (aborting if other locks are held — see the class comment),
     // sleep, then re-validate + re-push: the wakeup re-acquisition must
     // obey rank order exactly like a fresh Lock().
-    lock_rank::OnCondVarWait(&mu, loc.file_name(), loc.line());
+    if (lock_rank::Enabled()) {
+      lock_rank::OnCondVarWait(&mu, loc.file_name(), loc.line());
+    }
     cv_.wait(mu.mu_);
-    lock_rank::OnAcquire(&mu, mu.name_, mu.rank_, loc.file_name(),
-                         loc.line());
+    if (lock_rank::Enabled()) {
+      lock_rank::OnAcquire(&mu, mu.name_, mu.rank_, loc.file_name(),
+                           loc.line());
+    }
   }
 
   /// Like Wait but gives up after `timeout`. Returns false on timeout,
@@ -222,23 +218,17 @@ class CondVar {
   bool WaitFor(Mutex& mu, std::chrono::nanoseconds timeout,
                std::source_location loc = std::source_location::current())
       DJ_REQUIRES(mu) {
-    lock_rank::OnCondVarWait(&mu, loc.file_name(), loc.line());
+    if (lock_rank::Enabled()) {
+      lock_rank::OnCondVarWait(&mu, loc.file_name(), loc.line());
+    }
     const bool notified =
         cv_.wait_for(mu.mu_, timeout) == std::cv_status::no_timeout;
-    lock_rank::OnAcquire(&mu, mu.name_, mu.rank_, loc.file_name(),
-                         loc.line());
+    if (lock_rank::Enabled()) {
+      lock_rank::OnAcquire(&mu, mu.name_, mu.rank_, loc.file_name(),
+                           loc.line());
+    }
     return notified;
   }
-#else
-  /// Atomically releases `mu`, sleeps until notified, reacquires `mu`.
-  /// Spurious wakeups happen; always re-check the condition in a loop.
-  void Wait(Mutex& mu) DJ_REQUIRES(mu) { cv_.wait(mu.mu_); }
-
-  /// Like Wait but gives up after `timeout`; false on timeout.
-  bool WaitFor(Mutex& mu, std::chrono::nanoseconds timeout) DJ_REQUIRES(mu) {
-    return cv_.wait_for(mu.mu_, timeout) == std::cv_status::no_timeout;
-  }
-#endif
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

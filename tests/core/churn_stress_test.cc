@@ -11,6 +11,7 @@
 
 #include "core/searcher.h"
 #include "lake/generator.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace deepjoin {
@@ -34,6 +35,12 @@ class ChurnStressTest : public ::testing::Test {
   void TearDown() override {
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
+  }
+
+  static u64 Compactions() {
+    return metrics::MetricsRegistry::Global()
+        .GetCounter("dj_index_compactions")
+        ->value();
   }
 
   static bool Contains(const std::vector<u32>& ids, u32 id) {
@@ -130,6 +137,7 @@ TEST_F(ChurnStressTest, InMemoryChurnAlongsideSearches) {
   EmbeddingSearcher searcher(encoder_.get(), cfg);
   ASSERT_TRUE(searcher.BuildIndex(repo_).ok());
 
+  const u64 compactions_before = Compactions();
   std::atomic<bool> done{false};
   std::vector<u32> removed;
   std::vector<std::thread> readers;
@@ -141,6 +149,9 @@ TEST_F(ChurnStressTest, InMemoryChurnAlongsideSearches) {
   for (auto& th : readers) th.join();
 
   EXPECT_GT(removed.size(), 50u);
+  // Six of the compactions are the manual ones; the rest are auto-compacts
+  // tripped by RemoveColumn while the readers ran.
+  EXPECT_GT(Compactions() - compactions_before, 6u);
   AssertRemovedStayGone(searcher, removed);
 }
 
@@ -162,9 +173,13 @@ TEST_F(ChurnStressTest, LiveModeChurnAlongsideSearchesAndReopen) {
       readers.emplace_back([&, t] { ReadUntilDone(searcher, done, t); });
     }
     // Every mutation WAL-fsyncs, so fewer ops than the in-memory run.
+    const u64 compactions_before = Compactions();
     Churn(searcher, 90, /*manual_compact=*/false, &removed);
     done.store(true, std::memory_order_release);
     for (auto& th : readers) th.join();
+    // No manual compactions here: every one is an auto-compact (with its
+    // publish) racing the readers.
+    EXPECT_GT(Compactions(), compactions_before);
 
     AssertRemovedStayGone(searcher, removed);
     for (const auto& q : queries_) {

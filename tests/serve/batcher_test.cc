@@ -168,9 +168,9 @@ TEST_F(ServeBatcherTest, BackpressurePastMaxQueue) {
 
 // The steady-state dispatch path allocates nothing: Submit threads the
 // caller-owned node into the intrusive queue, CollectBatch moves pointers
-// into a caller-provided array. Enforced for real in guard-enabled builds
-// (check.sh alloc-guard leg); elsewhere the ban is a no-op and the tally
-// reads zero either way.
+// into a caller-provided array. One thread runs Submit, CollectBatch and
+// TryCollect under an allocation ban (the binary links dj_guard, so any
+// allocation aborts).
 TEST_F(ServeBatcherTest, DispatchPathIsAllocationFree) {
   BatcherConfig cfg;
   cfg.max_batch = 8;
@@ -180,8 +180,8 @@ TEST_F(ServeBatcherTest, DispatchPathIsAllocationFree) {
   Request* expired[8];
   size_t num_expired = 0;
   // Warm-up round: the first mutex acquisition on a thread allocates the
-  // lock-rank TLS held-stack (guard-enabled builds) — one-time cost, not
-  // part of the steady state the ban covers.
+  // lock-rank TLS held-stack — one-time cost, not part of the steady
+  // state the ban covers.
   ASSERT_TRUE(b.Submit(&reqs[0]).ok());
   ASSERT_EQ(b.CollectBatch(batch, 8, expired, 8, &num_expired), 1u);
   alloc_guard::ScopedAllocCount tally;

@@ -1,8 +1,8 @@
 // Concurrency stress for the lock-rank runtime (label: tsan): many threads
 // hammering correctly-ordered ranked locks must produce zero enforcement
 // aborts and zero data races in the hook bookkeeping (TLS held stacks,
-// the shared LockOrderGraph). The suite also runs in builds without
-// DJ_LOCK_RANK, where it degrades to a plain mutex stress test.
+// the shared LockOrderGraph). Like every test binary it links dj_guard, so
+// the hooks are on.
 #include <atomic>
 
 #include <gtest/gtest.h>

@@ -1,10 +1,9 @@
 // Tests for the lock-rank runtime (src/util/lock_rank.h, util/mutex.h):
 // LockOrderGraph bookkeeping with golden JSON/DOT dumps, online cycle
-// detection, and — in builds with DJ_LOCK_RANK compiled in — the
-// enforcement aborts for rank inversion, re-entry, conflicting rank
-// registration, and condvar waits holding a second lock. Enforcement
-// cases GTEST_SKIP when the layer is compiled out so the suite stays
-// green in release builds.
+// detection, and the enforcement aborts for rank inversion, re-entry,
+// conflicting rank registration, and condvar waits holding a second lock.
+// The enforcement cases run in every build: the binary links dj_guard,
+// which turns the hooks on.
 #include "util/lock_rank.h"
 
 #include <string>
@@ -85,7 +84,6 @@ TEST(LockOrderGraphTest, OnlineCycleDetectionReportsThePath) {
 }
 
 TEST(LockRankRuntimeTest, UphillAcquisitionMaintainsDepthAndRecordsEdge) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   Mutex low("test.rt.low", 71);
   Mutex high("test.rt.high", 72);
   EXPECT_EQ(lock_rank::HeldDepth(), 0u);
@@ -103,7 +101,6 @@ TEST(LockRankRuntimeTest, UphillAcquisitionMaintainsDepthAndRecordsEdge) {
 }
 
 TEST(LockRankRuntimeTest, UnrankedLocksParticipateWithoutValidation) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   Mutex named("test.rt.named", 77);
   Mutex plain;  // default ctor: unranked, skips rank checks
   MutexLock n(named);
@@ -112,7 +109,6 @@ TEST(LockRankRuntimeTest, UnrankedLocksParticipateWithoutValidation) {
 }
 
 TEST(LockRankRuntimeTest, TryLockDownhillIsAllowed) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   // A try-acquire cannot block, so it cannot deadlock: rank order is not
   // enforced, but the acquisition still lands on the held stack.
   Mutex low("test.rt.try_low", 73);
@@ -125,7 +121,6 @@ TEST(LockRankRuntimeTest, TryLockDownhillIsAllowed) {
 }
 
 TEST(LockRankRuntimeTest, CondVarWaitSingleLockRoundTrips) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   Mutex mu("test.rt.cv", 75);
   CondVar cv;
   bool ready = false;
@@ -144,7 +139,6 @@ TEST(LockRankRuntimeTest, CondVarWaitSingleLockRoundTrips) {
 }
 
 TEST(LockRankDeathTest, RankInversionAborts) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   Mutex low("test.death.low", 11);
   Mutex high("test.death.high", 22);
   EXPECT_DEATH(
@@ -156,7 +150,6 @@ TEST(LockRankDeathTest, RankInversionAborts) {
 }
 
 TEST(LockRankDeathTest, EqualRankAborts) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   // Strictly increasing: equal ranks are an inversion too.
   Mutex a("test.death.eq_a", 33);
   Mutex b("test.death.eq_b", 33);
@@ -169,7 +162,6 @@ TEST(LockRankDeathTest, EqualRankAborts) {
 }
 
 TEST(LockRankDeathTest, ReentrantAcquisitionAborts) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   Mutex mu("test.death.reentrant", 44);
   EXPECT_DEATH(
       {
@@ -180,7 +172,6 @@ TEST(LockRankDeathTest, ReentrantAcquisitionAborts) {
 }
 
 TEST(LockRankDeathTest, ConflictingRankRegistrationAborts) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   EXPECT_DEATH(
       {
         Mutex first("test.death.mismatch", 51);
@@ -190,7 +181,6 @@ TEST(LockRankDeathTest, ConflictingRankRegistrationAborts) {
 }
 
 TEST(LockRankDeathTest, CondVarWaitHoldingSecondLockAborts) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   Mutex a("test.death.wait_a", 61);
   Mutex b("test.death.wait_b", 62);
   CondVar cv;
@@ -204,7 +194,6 @@ TEST(LockRankDeathTest, CondVarWaitHoldingSecondLockAborts) {
 }
 
 TEST(LockRankDeathTest, CondVarWaitOnUnheldMutexAborts) {
-  if (!lock_rank::Enabled()) GTEST_SKIP() << "DJ_LOCK_RANK compiled out";
   Mutex mu("test.death.unheld", 63);
   CondVar cv;
   EXPECT_DEATH(WaitWithoutHolding(mu, cv), "does not hold");

@@ -16,9 +16,8 @@
 # BENCH_micro.json carries the instrumentation cost of the observability
 # layer (DESIGN.md §9 budgets it at <2%), plus the steady-state
 # allocation-discipline benches (BM_HnswSearchInto,
-# BM_SearcherSteadyStateQuery). Their allocs_per_op counters only appear
-# when the build compiles the alloc guard in (-DDJ_ALLOC_GUARD=ON / Debug);
-# a Release snapshot carries timings only.
+# BM_SearcherSteadyStateQuery), timings only: their zero allocations per
+# query are asserted under a ban in alloc_guard_test.
 #
 # BENCH_churn.json (from bench_churn) carries the live-mutability numbers
 # of DESIGN.md §12: search mean + p50/p99 tail with and without a

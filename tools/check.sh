@@ -3,10 +3,14 @@
 # "Correctness tooling"):
 #
 #   1. plain build          + full ctest suite (includes the lint label:
-#                             dj_lint, dj_header_check, their self-tests;
-#                             and the kernel tier checks: kernels_test under
+#                             dj_lint, dj_header_check, their self-tests,
+#                             the dj_lockgraph / dj_stats guard smokes;
+#                             the kernel tier checks: kernels_test under
 #                             DJ_FORCE_SCALAR_KERNELS=1 and the
-#                             encoder_probe dump diffs, see util/kernels.h)
+#                             encoder_probe dump diffs, see util/kernels.h;
+#                             and, in every tree, the lock-rank and
+#                             allocation-ban runtime checks, because every
+#                             test binary links dj_guard)
 #   2. clang thread-safety  + full ctest suite, built with clang++ and
 #      build                  -DDJ_THREAD_SAFETY=ON so -Wthread-safety
 #                             violations are errors and the negative-compile
@@ -22,16 +26,7 @@
 #                             live-index lifecycle tests under ASan+UBSan,
 #                             so a mutability regression fails as its own
 #                             labeled line, not buried in a full-suite leg
-#   4b. guard build         + one Debug tree (Debug defaults both
-#                             DJ_LOCK_RANK and DJ_ALLOC_GUARD ON) running
-#                             the death/tsan/lint labels: runtime rank
-#                             enforcement and ScopedAllocBan aborts, the
-#                             zero-allocation steady-state search proof,
-#                             the dj_deadlock and dj_alloc fixtures + tree
-#                             scans; then a dj_lockgraph JSON/DOT smoke
-#                             dump and a dj_stats smoke checking the
-#                             alloc tallies export
-#   4c. serve leg           + the serving-layer suites re-run by name: the
+#   4b. serve leg           + the serving-layer suites re-run by name: the
 #                             open-loop serve stress (clients racing the
 #                             dispatcher and a live mutator) under TSan,
 #                             and the deadline short-circuit / backpressure
@@ -107,33 +102,6 @@ if [[ "$QUICK" == "0" ]]; then
   echo "=== [churn] ASan+UBSan crash torture + live-index lifecycle + live-store WAL torture ==="
   (cd "$ROOT/build-asan" && ctest --output-on-failure --no-tests=error \
     -j "$JOBS" -R "ChurnTorture|LiveIndex|LiveStore")
-
-  # Lock and allocation discipline (DESIGN.md §10, §11). Debug defaults
-  # DJ_LOCK_RANK and DJ_ALLOC_GUARD ON, so one tree covers both: the death
-  # label exercises the runtime aborts (rank inversion, re-entry,
-  # condvar-with-second-lock, ScopedAllocBan), tsan hammers the hook
-  # bookkeeping, the guarded steady-state search test proves zero
-  # allocations per query for real, and lint runs dj_deadlock and
-  # dj_alloc over their fixtures plus the real tree.
-  # NB: $ctest_args is intentionally word-split in run_profile, so the
-  # label regex must stay unquoted (quotes would end up inside the regex
-  # and silently select the wrong tests).
-  run_profile build-guard "guard (Debug)" "-L death|tsan|lint" \
-    -DCMAKE_BUILD_TYPE=Debug -DDJ_LOCK_RANK=ON -DDJ_ALLOC_GUARD=ON
-  echo "=== [guard (Debug)] dj_lockgraph: observed-graph dump ==="
-  "$ROOT/build-guard/tools/dj_lockgraph" --format=json \
-    | python3 -c "import json,sys; d=json.load(sys.stdin); \
-print('dj_lockgraph: %d nodes, %d edges' % (len(d['nodes']), len(d['edges'])))"
-  "$ROOT/build-guard/tools/dj_lockgraph" --format=dot >/dev/null
-  # The guard's process-wide tallies reach the metrics snapshot (a live
-  # pipeline allocates, so the count is nonzero).
-  echo "=== [guard (Debug)] dj_stats: alloc tallies exported ==="
-  "$ROOT/build-guard/tools/dj_stats" --repo=64 --queries=4 \
-      --format=json 2>/dev/null \
-    | python3 -c "import json,sys; g=json.load(sys.stdin)['gauges']; \
-assert g['dj_alloc_count'] > 0 and g['dj_alloc_bytes'] > 0, g; \
-print('dj_stats: dj_alloc_count=%d dj_alloc_bytes=%d' \
-% (g['dj_alloc_count'], g['dj_alloc_bytes']))"
 
   # Serving layer (DESIGN.md §13). Like the churn leg: the tsan/asan
   # profiles already run these inside their label/full-suite runs; this

@@ -8,11 +8,10 @@
 //
 //   dj_lockgraph [--format=json|dot]
 //
-// In a build without DJ_LOCK_RANK the hooks are compiled out, so the graph
-// is empty; the tool says so on stderr and still emits the (empty) dump so
-// scripted pipelines keep working. tools/dj_deadlock derives the same
-// graph statically — comparing the two dumps shows which static edges the
-// workload actually exercised.
+// The tool links the dj_guard object library, which turns the hooks on
+// (util/lock_rank.h). tools/dj_deadlock derives the same graph statically
+// — comparing the two dumps shows which static edges the workload actually
+// exercised.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -77,14 +76,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dj_lockgraph: unknown --format=%s\n",
                  format.c_str());
     return 2;
-  }
-
-  if (!lock_rank::Enabled()) {
-    std::fprintf(stderr,
-                 "dj_lockgraph: built without DJ_LOCK_RANK; the hooks are "
-                 "compiled out and the observed graph is empty. Configure "
-                 "with -DDJ_LOCK_RANK=ON (default in Debug) for real "
-                 "edges.\n");
   }
 
   RunWorkload();

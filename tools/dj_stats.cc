@@ -127,10 +127,10 @@ int main(int argc, char** argv) {
   }
 
   // Fold the lock-rank layer's observed graph into the snapshot
-  // (dj_lockrank_* gauges; all zero when DJ_LOCK_RANK is compiled out).
+  // (dj_lockrank_* gauges; this tool links dj_guard, so the hooks are on).
   lock_rank::PublishMetrics();
   // Likewise the alloc-guard's process-wide tallies (dj_alloc_count /
-  // dj_alloc_bytes; zero when DJ_ALLOC_GUARD is compiled out).
+  // dj_alloc_bytes).
   alloc_guard::PublishMetrics();
   const metrics::MetricsSnapshot snapshot =
       metrics::MetricsRegistry::Global().Snapshot();
